@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench ci
+.PHONY: all vet lpvet build test tier1 race race-parallel matrix smoke campaign scrub-smoke scrub-campaign cluster-smoke cluster-soak persistcheck-smoke persistcheck-soak model-smoke model-soak serve-smoke serve-soak replica-smoke replica-soak bench bench-check ci
 
 all: ci
 
@@ -141,10 +141,23 @@ replica-soak:
 	$(GO) run ./cmd/lpbench -exp replicacompare -parallel 4
 	$(GO) run ./cmd/lpserve -devices 3 -fail-launch 2 -fail-device 1 -json > /dev/null
 
-# bench: regenerate every artifact benchmark, then record the
+# bench: regenerate every artifact benchmark and the memsim layer
+# micro-benchmarks (epoch flush, eviction sweep), then record the
 # serial-vs-parallel wall-clock comparison to BENCH_parallel.json.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/memsim/
 	BENCH_JSON=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -v .
 
-ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke
+# bench-check: the host-time benchmark's correctness gate — its own
+# tests, then one pinned round of each workload. Fails on a non-zero
+# exit or on any round that does not report "correct":true.
+bench-check:
+	cd perfbench && $(GO) test .
+	@set -e; for w in paper-suite crash-recover kv-serve; do \
+		out=$$(bash perfbench/run.sh --workload $$w --seconds 0); \
+		echo "$$out"; \
+		case "$$out" in *'"correct":true'*) ;; *) echo "bench-check: $$w failed its correctness gate" >&2; exit 1;; esac; \
+	done
+
+ci: vet build race race-parallel matrix smoke scrub-smoke cluster-smoke persistcheck-smoke model-smoke serve-smoke replica-smoke bench-check

@@ -29,6 +29,9 @@ type Device struct {
 	// when it aborts. Written once per launch before any worker goroutine
 	// starts, so concurrent reads during the functional pass are safe.
 	launchName string
+	// barrierStall is PersistBarrier's charge in cycles: one NVM write
+	// latency at the core clock.
+	barrierStall int64
 }
 
 // Heartbeat is one liveness report from a launch in flight: the device
@@ -103,7 +106,12 @@ func New(cfg Config, mem *memsim.Memory) (*Device, error) {
 	if mem == nil {
 		return nil, &ConfigError{Field: "mem", Reason: "must be non-nil"}
 	}
-	return &Device{cfg: cfg, mem: mem, lines: newWordTimeline()}, nil
+	return &Device{
+		cfg:          cfg,
+		mem:          mem,
+		lines:        newWordTimeline(),
+		barrierStall: int64(mem.Config().NVMWriteNS * cfg.ClockGHz),
+	}, nil
 }
 
 // MustNew is New, panicking on error — the convenience constructor for

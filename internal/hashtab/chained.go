@@ -1,7 +1,6 @@
 package hashtab
 
 import (
-
 	"gpulp/internal/checksum"
 	"gpulp/internal/gpusim"
 	"gpulp/internal/memsim"

@@ -42,3 +42,39 @@ func BenchmarkFlushAll(b *testing.B) {
 		m.FlushAll()
 	}
 }
+
+// BenchmarkEpochFlush measures one serving epoch in the default 4 MiB
+// cache: 64 lines dirtied, then the whole-cache drain. Its cost should
+// track the dirty lines, not the cache size.
+func BenchmarkEpochFlush(b *testing.B) {
+	m := MustNew(DefaultConfig())
+	r := m.Alloc("data", 64*128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for e := 0; e < 64; e++ {
+			r.StoreU32(AccessData, e*32, uint32(i))
+		}
+		if n := m.FlushAll(); n != 64 {
+			b.Fatalf("FlushAll = %d lines, want 64", n)
+		}
+	}
+}
+
+// BenchmarkEvictStore measures the eviction path: one store per line over
+// a footprint 16x a 256 KiB cache, so nearly every store evicts a dirty
+// line.
+func BenchmarkEvictStore(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.CacheBytes = 256 << 10
+	m := MustNew(cfg)
+	r := m.Alloc("data", 16*cfg.CacheBytes)
+	stride := cfg.LineSize / 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for e := 0; e < r.Size/4; e += stride {
+			r.StoreU32(AccessData, e, uint32(i))
+		}
+	}
+}

@@ -61,14 +61,7 @@ func (m *Memory) PartialCrash(rng *rand.Rand, p CrashProfile) CrashReport {
 		return rep
 	}
 	var dirty []*line
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			l := &m.sets[i].ways[j]
-			if l.valid && l.dirty {
-				dirty = append(dirty, l)
-			}
-		}
-	}
+	m.eachDirty(func(l *line) { dirty = append(dirty, l) })
 	rep.Dirty = len(dirty)
 	// Arbitrary write-back order: the cache controller owes no ordering
 	// between independent lines.

@@ -26,6 +26,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -173,6 +174,12 @@ type Memory struct {
 	stats   Stats
 	snap    *Snapshot // active copy-on-write snapshot, nil when inactive
 
+	// maybeDirty has bit i set when set i may hold a dirty line. Every
+	// dirty line's set is marked; a marked set need not hold one (an
+	// eviction, FlushAddr, torn write-back or HostWrite may clean it
+	// without clearing the bit). It lets eachDirty skip clean sets.
+	maybeDirty []uint64
+
 	// observer receives every durable-image mutation (see observe.go).
 	observer func(PersistEvent)
 	// plantDropNth/plantWBCount implement PlantDropWriteBack.
@@ -184,6 +191,9 @@ type Memory struct {
 	// fences are the active write-fenced ranges (see fence.go); nil until
 	// a fence is erected.
 	fences []FencedRange
+	// zero is the all-zero source of durable clears (see zeroes). Nothing
+	// ever writes to it, so it can back any number of host writes.
+	zero []byte
 }
 
 // New creates a Memory with the given configuration. A bad configuration
@@ -198,9 +208,11 @@ func New(cfg Config) (*Memory, error) {
 		next:    uint64(cfg.LineSize), // keep address 0 unused
 	}
 	m.sets = make([]cacheSet, m.numSets)
+	lines := make([]line, m.numSets*cfg.Ways)
 	for i := range m.sets {
-		m.sets[i].ways = make([]line, cfg.Ways)
+		m.sets[i].ways = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
+	m.maybeDirty = make([]uint64, (m.numSets+63)/64)
 	if cfg.Fault.Enabled {
 		m.media = newMediaState(cfg.Fault, cfg.LineSize)
 	}
@@ -219,6 +231,10 @@ func MustNew(cfg Config) *Memory {
 
 // Config returns the memory configuration.
 func (m *Memory) Config() Config { return m.cfg }
+
+// LineSize returns the cache line size in bytes without copying the
+// whole Config, for per-access callers.
+func (m *Memory) LineSize() int { return m.cfg.LineSize }
 
 // Stats returns a snapshot of the traffic counters.
 func (m *Memory) Stats() Stats {
@@ -273,9 +289,9 @@ func (m *Memory) setIndex(lineAddr uint64) int {
 	return int((lineAddr / uint64(m.cfg.LineSize)) % uint64(m.numSets))
 }
 
-// lookupLine returns the cached line for lineAddr, or nil.
-func (m *Memory) lookupLine(lineAddr uint64) *line {
-	set := &m.sets[m.setIndex(lineAddr)]
+// lookupLine returns the cached line for lineAddr in set si, or nil.
+func (m *Memory) lookupLine(si int, lineAddr uint64) *line {
+	set := &m.sets[si]
 	for i := range set.ways {
 		l := &set.ways[i]
 		if l.valid && l.tag == lineAddr {
@@ -287,11 +303,11 @@ func (m *Memory) lookupLine(lineAddr uint64) *line {
 	return nil
 }
 
-// fillLine brings lineAddr into the cache (evicting LRU if needed) and
+// fillLine brings lineAddr into set si (evicting LRU if needed) and
 // returns the line plus the access cost.
-func (m *Memory) fillLine(lineAddr uint64) (*line, AccessResult) {
+func (m *Memory) fillLine(si int, lineAddr uint64) (*line, AccessResult) {
 	var res AccessResult
-	set := &m.sets[m.setIndex(lineAddr)]
+	set := &m.sets[si]
 	// Choose invalid way first, else LRU.
 	victim := &set.ways[0]
 	for i := range set.ways {
@@ -354,25 +370,27 @@ func (m *Memory) writeBack(l *line) {
 }
 
 // access performs the cache maneuver for [addr, addr+size) and returns the
-// line holding addr. size must not cross a line boundary.
-func (m *Memory) access(addr uint64, size int) (*line, AccessResult) {
+// line holding addr and its set index. size must not cross a line
+// boundary.
+func (m *Memory) access(addr uint64, size int) (*line, int, AccessResult) {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
 	if (addr+uint64(size)-1)&^uint64(m.cfg.LineSize-1) != lineAddr {
 		panic(fmt.Sprintf("memsim: access at %#x size %d crosses a line boundary", addr, size))
 	}
-	if l := m.lookupLine(lineAddr); l != nil {
+	si := m.setIndex(lineAddr)
+	if l := m.lookupLine(si, lineAddr); l != nil {
 		m.stats.Hits++
-		return l, AccessResult{Hit: true}
+		return l, si, AccessResult{Hit: true}
 	}
 	m.stats.Misses++
-	l, res := m.fillLine(lineAddr)
-	return l, res
+	l, res := m.fillLine(si, lineAddr)
+	return l, si, res
 }
 
 // Load reads size bytes at addr through the cache as a device access.
 func (m *Memory) Load(kind AccessKind, addr uint64, size int) ([]byte, AccessResult) {
 	m.stats.Loads[kind]++
-	l, res := m.access(addr, size)
+	l, _, res := m.access(addr, size)
 	off := addr - l.tag
 	return l.data[off : off+uint64(size)], res
 }
@@ -384,11 +402,34 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 		m.checkFence("device store", addr, len(buf), false)
 	}
 	m.stats.Stores[kind]++
-	l, res := m.access(addr, len(buf))
+	l, si, res := m.access(addr, len(buf))
 	off := addr - l.tag
 	copy(l.data[off:], buf)
-	l.dirty = true
+	if !l.dirty {
+		l.dirty = true
+		m.maybeDirty[si/64] |= 1 << (si % 64)
+	}
 	return res
+}
+
+// eachDirty calls fn on every valid dirty line in ascending set order,
+// then way order within a set: exactly the order of a full-cache walk,
+// so the persist-event stream, PlantDropWriteBack's write-back count, the
+// media fault draws and PartialCrash's shuffle input do not depend on
+// the bitmap. Only sets marked in maybeDirty are visited. fn may write
+// the line back but must not dirty any line.
+func (m *Memory) eachDirty(fn func(*line)) {
+	for w, word := range m.maybeDirty {
+		for word != 0 {
+			set := &m.sets[w*64+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for j := range set.ways {
+				if l := &set.ways[j]; l.valid && l.dirty {
+					fn(l)
+				}
+			}
+		}
+	}
 }
 
 // Crash simulates a power failure: every cached line — including dirty
@@ -401,6 +442,7 @@ func (m *Memory) Crash() {
 			m.sets[i].ways[j].dirty = false
 		}
 	}
+	clear(m.maybeDirty)
 	m.notify(PersistEvent{Kind: EvCrash})
 }
 
@@ -425,29 +467,19 @@ func (m *Memory) FlushAddr(addr uint64) bool {
 // returns the number of lines flushed.
 func (m *Memory) FlushAll() int {
 	n := 0
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			l := &m.sets[i].ways[j]
-			if l.valid && l.dirty {
-				m.writeBack(l)
-				m.stats.FlushedLines++
-				n++
-			}
-		}
-	}
+	m.eachDirty(func(l *line) {
+		m.writeBack(l)
+		m.stats.FlushedLines++
+		n++
+	})
+	clear(m.maybeDirty)
 	return n
 }
 
 // DirtyLines returns the number of dirty (unpersisted) lines in the cache.
 func (m *Memory) DirtyLines() int {
 	n := 0
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			if m.sets[i].ways[j].valid && m.sets[i].ways[j].dirty {
-				n++
-			}
-		}
-	}
+	m.eachDirty(func(*line) { n++ })
 	return n
 }
 
@@ -531,13 +563,30 @@ func (m *Memory) NVMImage() []byte {
 // PeekNVM reads the durable (persisted) value of [addr, addr+size),
 // ignoring any cached copy. This is what a post-crash reader would see.
 func (m *Memory) PeekNVM(addr uint64, size int) []byte {
+	out := make([]byte, size)
+	copy(out, m.nvmView(addr, size))
+	return out
+}
+
+// nvmView returns the durable bytes [addr, addr+size) in place, growing
+// the image when the range reaches past it. The slice aliases the live
+// image: read it before the next mutation.
+func (m *Memory) nvmView(addr uint64, size int) []byte {
 	end := int(addr) + size
 	if end > len(m.nvm) {
 		m.ensureNVM(uint64(end-1) &^ uint64(m.cfg.LineSize-1))
 	}
-	out := make([]byte, size)
-	copy(out, m.nvm[addr:end])
-	return out
+	return m.nvm[addr:end]
+}
+
+// zeroes returns n zero bytes backed by a buffer the Memory owns, grown on
+// demand and never written, so durable clears allocate nothing per call.
+// Callers must treat it as read-only; persist observers already copy Data.
+func (m *Memory) zeroes(n int) []byte {
+	if n > len(m.zero) {
+		m.zero = make([]byte, n)
+	}
+	return m.zero[:n]
 }
 
 // HostWrite writes buf directly to NVM at addr, invalidating any cached

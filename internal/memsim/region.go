@@ -130,17 +130,17 @@ func (r Region) PeekI32s(n int) []int32 {
 
 // NVMU32 returns the persisted uint32 at element idx.
 func (r Region) NVMU32(idx int) uint32 {
-	return binary.LittleEndian.Uint32(r.mem.PeekNVM(r.addr(idx, 4), 4))
+	return binary.LittleEndian.Uint32(r.mem.nvmView(r.addr(idx, 4), 4))
 }
 
 // NVMU64 returns the persisted uint64 at element idx.
 func (r Region) NVMU64(idx int) uint64 {
-	return binary.LittleEndian.Uint64(r.mem.PeekNVM(r.addr(idx, 8), 8))
+	return binary.LittleEndian.Uint64(r.mem.nvmView(r.addr(idx, 8), 8))
 }
 
 // NVMF32 returns the persisted float32 at element idx.
 func (r Region) NVMF32(idx int) float32 {
-	return f32FromBytes(r.mem.PeekNVM(r.addr(idx, 4), 4))
+	return f32FromBytes(r.mem.nvmView(r.addr(idx, 4), 4))
 }
 
 // NVMI32 returns the persisted int32 at element idx.
@@ -190,7 +190,7 @@ func (r Region) HostPutU64(idx int, v uint64) {
 
 // HostZero zeroes the whole region durably.
 func (r Region) HostZero() {
-	r.mem.HostWrite(r.Base, make([]byte, r.Size))
+	r.mem.HostWrite(r.Base, r.mem.zeroes(r.Size))
 }
 
 // HostFillU64 durably fills the region with a repeated uint64 pattern

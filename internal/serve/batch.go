@@ -28,6 +28,8 @@ type pendingReq struct {
 type Batcher struct {
 	max   int
 	queue []pendingReq
+	// inBatch is Take's per-call key set, kept to avoid re-allocating it.
+	inBatch map[uint64]bool
 }
 
 // NewBatcher creates a batcher that emits at most max requests per Take.
@@ -35,7 +37,7 @@ func NewBatcher(max int) *Batcher {
 	if max <= 0 {
 		panic("serve: batcher needs a positive batch cap")
 	}
-	return &Batcher{max: max}
+	return &Batcher{max: max, inBatch: make(map[uint64]bool, max)}
 }
 
 // Add enqueues an admitted request.
@@ -57,15 +59,15 @@ func (b *Batcher) Take() []pendingReq {
 	if len(b.queue) == 0 {
 		return nil
 	}
-	taken := make([]pendingReq, 0, b.max)
-	inBatch := make(map[uint64]bool, b.max)
+	taken := make([]pendingReq, 0, min(b.max, len(b.queue)))
+	clear(b.inBatch)
 	rest := b.queue[:0]
 	for i, p := range b.queue {
-		if len(taken) >= b.max || inBatch[p.req.Key] {
+		if len(taken) >= b.max || b.inBatch[p.req.Key] {
 			rest = append(rest, b.queue[i])
 			continue
 		}
-		inBatch[p.req.Key] = true
+		b.inBatch[p.req.Key] = true
 		taken = append(taken, p)
 	}
 	b.queue = rest
