@@ -28,12 +28,17 @@ tier1: vet build test
 race:
 	$(GO) test -race ./...
 
+# REQUIRE_TESTS fails a step whose -run pattern matches no test in its
+# packages, so renaming or deleting tests cannot turn it into a no-op.
+REQUIRE_TESTS = GO=$(GO) bash scripts/require-tests.sh
+
 # race-parallel: focused -race coverage of the host-parallel execution
-# paths — the speculative block engine (gpusim), the root determinism
-# suite's store/recovery slices, and the harness/campaign fan-out.
+# paths — the root determinism suite's store/recovery slices, and the
+# harness/campaign fan-out.
 race-parallel:
-	$(GO) test -race -run 'TestParallel' ./internal/gpusim/
+	$(REQUIRE_TESTS) 'TestParallelDeterminismStores|TestParallelDeterminismRecovery' .
 	$(GO) test -race -short -run 'TestParallelDeterminismStores|TestParallelDeterminismRecovery' .
+	$(REQUIRE_TESTS) 'TestCampaignParallel|TestScalingParallel' ./internal/faultsim/ ./internal/harness/
 	$(GO) test -race -run 'TestCampaignParallel|TestScalingParallel' ./internal/faultsim/ ./internal/harness/
 
 # matrix: the parallel determinism suite at two host scheduler widths;
@@ -41,6 +46,7 @@ race-parallel:
 # test cache, which does not key on GOMAXPROCS (the runtime reads it,
 # not the test).
 matrix:
+	$(REQUIRE_TESTS) 'TestParallelDeterminism' .
 	GOMAXPROCS=1 $(GO) test -short -count=1 -run 'TestParallelDeterminism' .
 	GOMAXPROCS=4 $(GO) test -short -count=1 -run 'TestParallelDeterminism' .
 
@@ -95,6 +101,7 @@ persistcheck-soak:
 # prediction/recovery mismatch or contract violation.
 model-smoke:
 	$(GO) test -race ./internal/pmodel/
+	$(REQUIRE_TESTS) 'TestModelCampaign|TestModelCaseReproducible' ./internal/faultsim/
 	$(GO) test -race -run 'TestModelCampaign|TestModelCaseReproducible' ./internal/faultsim/
 	$(GO) run -race ./cmd/lpcheck -model all -kernels tmm,spmv -seed 1 -n 20 -quiet
 
@@ -105,12 +112,14 @@ model-soak:
 	$(GO) run ./cmd/lpcheck -model all -seed 1 -n 4000 -quiet
 
 # serve-smoke: the MEGA-KV serving layer under race, the root
-# determinism pin (Workers 1 vs 8, byte-identical reports), and a quick
-# mid-serving crash sweep over every persistency model. Exits non-zero
+# determinism pin (one-at-a-time vs fanned-out runs, byte-identical
+# reports), and a quick mid-serving crash sweep over every persistency
+# model. Exits non-zero
 # on any report divergence, ledger violation, recovery mismatch or
 # panic.
 serve-smoke:
 	$(GO) test -race ./internal/serve/
+	$(REQUIRE_TESTS) 'TestServeDeterminism' .
 	$(GO) test -race -count=1 -run 'TestServeDeterminism' .
 	$(GO) run ./cmd/lpfault -serve -seeds 2 -parallel 4
 
@@ -123,12 +132,15 @@ serve-soak:
 
 # replica-smoke: replicated durable placement under race (placer and
 # adoption unit contracts, the cluster-backed serving layer), the root
-# determinism pin (replicated run + campaign, Workers 1 vs 8), and a
+# determinism pin (replicated cluster run and serving, one at a time vs
+# fanned out), and a
 # quick R in {1,2} failover sweep — every R>=2 case must recover via
 # replica adoption with zero re-executed blocks and a bit-exact pool
 # audit. Exits non-zero on any contract breach, mismatch or panic.
 replica-smoke:
+	$(REQUIRE_TESTS) 'TestReplica|TestPlacer|TestCluster' ./internal/cluster/ ./internal/serve/ ./internal/faultsim/
 	$(GO) test -race -run 'TestReplica|TestPlacer|TestCluster' ./internal/cluster/ ./internal/serve/ ./internal/faultsim/
+	$(REQUIRE_TESTS) 'TestParallelDeterminismReplicatedCluster|TestServeClusterDeterminism' .
 	$(GO) test -race -count=1 -run 'TestParallelDeterminismReplicatedCluster|TestServeClusterDeterminism' .
 	$(GO) run ./cmd/lpfault -replicas -rfactors 1,2 -model lp,sbrp -jobs 4 -seeds 2 -parallel 4
 

@@ -1,10 +1,13 @@
 package gpulp_test
 
-// Determinism regression suite for the parallel execution engine: every
-// observable output of a run with Config.Workers=N must be bit-identical
-// to the serial engine (Workers=1). This is the contract that lets the
-// harness and fault campaigns parallelize without perturbing any number
-// the repo reports.
+// Determinism regression suite for host fan-out: every observable output
+// of a set of runs must be bit-identical whether the runs execute one at
+// a time or detParallel at once on host goroutines. Campaigns take the
+// width as their Parallel option; single-system runs are fanned out
+// through parwork, the pool the harness and campaigns share, so any
+// state leaking between simulator instances shows up as a divergence.
+// This is the contract that lets the harness and fault campaigns
+// parallelize without perturbing any number the repo reports.
 
 import (
 	"bytes"
@@ -20,9 +23,21 @@ import (
 	"gpulp/internal/hashtab"
 	"gpulp/internal/kernels"
 	"gpulp/internal/memsim"
+	"gpulp/internal/parwork"
 )
 
-const detWorkers = 8
+// detParallel is the host fan-out width each pin compares against a
+// one-at-a-time run.
+const detParallel = 8
+
+// fanOut runs fn(i) for every i in [0, n) on width host goroutines and
+// returns the results in index order. fn runs off the test goroutine, so
+// it must report with t.Errorf, never t.Fatal.
+func fanOut[T any](n, width int, fn func(i int) T) []T {
+	out := make([]T, n)
+	parwork.Do(n, width, func(i int) { out[i] = fn(i) })
+	return out
+}
 
 // kernelRun captures every observable output of one workload run.
 type kernelRun struct {
@@ -33,12 +48,10 @@ type kernelRun struct {
 	nvm      []byte
 }
 
-func runWorkload(t *testing.T, name string, workers int, lpCfg *core.Config) kernelRun {
+func runWorkload(t *testing.T, name string, lpCfg *core.Config) kernelRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New(name, 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -55,7 +68,7 @@ func runWorkload(t *testing.T, name string, workers int, lpCfg *core.Config) ker
 		run.finalize = dev.Launch(fname, fg, fb, k)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("%s (workers=%d): %v", name, workers, err)
+		t.Errorf("%s: %v", name, err)
 	}
 	run.memStats = mem.Stats()
 	if lp != nil {
@@ -90,23 +103,26 @@ func compareRuns(t *testing.T, label string, serial, parallel kernelRun) {
 }
 
 // TestParallelDeterminismKernels runs every registered workload — bare and
-// under the default LP configuration — with the serial and parallel
-// engines, asserting that kernel cycles, byte/stall totals, NVM write
-// counters (total and by-region), collision statistics, and the full
-// post-run durable memory image are bit-identical.
+// under the default LP configuration — one at a time and fanned out,
+// asserting that kernel cycles, byte/stall totals, NVM write counters
+// (total and by-region), collision statistics, and the full post-run
+// durable memory image are bit-identical.
 func TestParallelDeterminismKernels(t *testing.T) {
 	names := append([]string{}, kernels.Names...)
 	names = append(names, "megakv-mixed")
-	for _, name := range names {
-		name := name
+	lpCfg := core.DefaultConfig()
+	run := func(i int) kernelRun {
+		if i%2 == 0 {
+			return runWorkload(t, names[i/2], nil)
+		}
+		return runWorkload(t, names[i/2], &lpCfg)
+	}
+	serial := fanOut(2*len(names), 1, run)
+	parallel := fanOut(2*len(names), detParallel, run)
+	for k, name := range names {
 		t.Run(name, func(t *testing.T) {
-			compareRuns(t, name+"/bare",
-				runWorkload(t, name, 1, nil),
-				runWorkload(t, name, detWorkers, nil))
-			lpCfg := core.DefaultConfig()
-			compareRuns(t, name+"/lp",
-				runWorkload(t, name, 1, &lpCfg),
-				runWorkload(t, name, detWorkers, &lpCfg))
+			compareRuns(t, name+"/bare", serial[2*k], parallel[2*k])
+			compareRuns(t, name+"/lp", serial[2*k+1], parallel[2*k+1])
 		})
 	}
 }
@@ -131,14 +147,16 @@ func TestParallelDeterminismStores(t *testing.T) {
 			return c
 		}()},
 	}
-	for _, tc := range configs {
-		tc := tc
+	run := func(i int) kernelRun {
+		cfg := configs[i].cfg
+		cfg.Seed = 0x1157c
+		return runWorkload(t, "tmm", &cfg)
+	}
+	serial := fanOut(len(configs), 1, run)
+	parallel := fanOut(len(configs), detParallel, run)
+	for k, tc := range configs {
 		t.Run(tc.label, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Seed = 0x1157c
-			compareRuns(t, "tmm/"+tc.label,
-				runWorkload(t, "tmm", 1, &cfg),
-				runWorkload(t, "tmm", detWorkers, &cfg))
+			compareRuns(t, "tmm/"+tc.label, serial[k], parallel[k])
 		})
 	}
 }
@@ -150,65 +168,70 @@ type recoveryRun struct {
 	nvm    []byte
 }
 
-func runRecovery(t *testing.T, workers int) recoveryRun {
+// runRecovery crashes TMM after quarters/4 of its grid has retired.
+func runRecovery(t *testing.T, quarters int) recoveryRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
 	lp := core.New(dev, core.DefaultConfig(), grid, blk)
 	kernel := w.Kernel(lp)
 
-	dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: grid.Size() / 2})
+	dev.SetCrashTrigger(&gpusim.CrashTrigger{AfterBlocks: grid.Size() * quarters / 4})
 	res := dev.Launch("tmm", grid, blk, kernel)
 	if !res.Interrupted {
-		t.Fatalf("workers=%d: crash trigger did not fire", workers)
+		t.Errorf("crash at %d/4: trigger did not fire", quarters)
 	}
 	rep, err := lp.ValidateAndRecover(kernel, w.Recompute(), 3)
 	if err != nil {
-		t.Fatalf("workers=%d: recovery failed: %v", workers, err)
+		t.Errorf("crash at %d/4: recovery failed: %v", quarters, err)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("workers=%d: post-recovery verify failed: %v", workers, err)
+		t.Errorf("crash at %d/4: post-recovery verify failed: %v", quarters, err)
 	}
 	return recoveryRun{report: rep, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismRecovery asserts that a mid-launch crash, the
 // validation pass, and the selective re-execution produce identical
-// recovery reports and durable images under both engines.
+// recovery reports and durable images one at a time and fanned out, at
+// two crash points.
 func TestParallelDeterminismRecovery(t *testing.T) {
-	serial := runRecovery(t, 1)
-	parallel := runRecovery(t, detWorkers)
-	if !reflect.DeepEqual(serial.report, parallel.report) {
-		t.Errorf("recovery report diverged\nserial:   %+v\nparallel: %+v", serial.report, parallel.report)
-	}
-	if !bytes.Equal(serial.nvm, parallel.nvm) {
-		t.Errorf("post-recovery NVM image diverged")
+	quarters := []int{1, 2}
+	run := func(i int) recoveryRun { return runRecovery(t, quarters[i]) }
+	serial := fanOut(len(quarters), 1, run)
+	parallel := fanOut(len(quarters), detParallel, run)
+	for i, q := range quarters {
+		if !reflect.DeepEqual(serial[i].report, parallel[i].report) {
+			t.Errorf("crash at %d/4: recovery report diverged\nserial:   %+v\nparallel: %+v", q, serial[i].report, parallel[i].report)
+		}
+		if !bytes.Equal(serial[i].nvm, parallel[i].nvm) {
+			t.Errorf("crash at %d/4: post-recovery NVM image diverged", q)
+		}
 	}
 }
 
 // TestParallelDeterminismFaultCampaign runs a small seeded fault-injection
-// campaign under both engines and compares the full structured reports.
+// campaign at Parallel 1 and detParallel and compares the full
+// structured reports.
 func TestParallelDeterminismFaultCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign smoke test skipped in -short mode")
 	}
-	run := func(workers int) *faultsim.Report {
+	run := func(par int) *faultsim.Report {
 		c := faultsim.DefaultCampaign(2)
 		c.Kernels = []string{"tmm", "megakv-insert"}
-		c.Opt.Dev.Workers = workers
+		c.Parallel = par
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d: campaign failed: %v", workers, err)
+			t.Fatalf("parallel=%d: campaign failed: %v", par, err)
 		}
 		return rep
 	}
 	serial := run(1)
-	parallel := run(detWorkers)
+	parallel := run(detParallel)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("campaign reports diverged\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
@@ -223,14 +246,13 @@ type selfHealRun struct {
 	nvm []byte
 }
 
-func runSelfHeal(t *testing.T, workers int) selfHealRun {
+func runSelfHeal(t *testing.T, seed uint64) selfHealRun {
 	t.Helper()
 	mcfg := memsim.DefaultConfig()
 	mcfg.CacheBytes = 256 << 10
-	mcfg.Fault = memsim.FaultConfig{Enabled: true, Seed: 77, TransientPerWrite: 0.05, StuckPerWrite: 0.01}
+	mcfg.Fault = memsim.FaultConfig{Enabled: true, Seed: seed, TransientPerWrite: 0.05, StuckPerWrite: 0.01}
 	mem := memsim.MustNew(mcfg)
 	dcfg := gpusim.DefaultConfig()
-	dcfg.Workers = workers
 	dcfg.WatchdogSteps = 50_000
 	dev := gpusim.MustNew(dcfg, mem)
 
@@ -270,7 +292,7 @@ func runSelfHeal(t *testing.T, workers int) selfHealRun {
 	}
 
 	// A planted stuck-at pins block 9's lock word "held": re-execution
-	// livelocks and the watchdog must abort it identically in both engines.
+	// livelocks and the watchdog must abort it identically in every run.
 	mem.PlantStuckAt(locks.Base+9*8, 0, 1)
 	res := dev.Launch("lockfill", grid, blk, kernel)
 	if res.Watchdog == nil {
@@ -287,53 +309,58 @@ func runSelfHeal(t *testing.T, workers int) selfHealRun {
 	})
 	var deg *core.DegradedError
 	if err != nil && !errors.As(err, &deg) {
-		t.Fatalf("workers=%d: self-heal failed: %v", workers, err)
+		t.Errorf("seed %d: self-heal failed: %v", seed, err)
 	}
 	return selfHealRun{rep: rep, deg: deg, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismSelfHeal drives the full self-healing stack —
 // online media-error process, ECC scrubs, watchdog-aborted re-execution,
-// quarantine — under both engines and asserts bit-identical heal reports,
-// quarantine sets, typed degraded outcomes, and durable images.
+// quarantine — one at a time and fanned out, for two media fault seeds,
+// and asserts bit-identical heal reports, quarantine sets, typed degraded
+// outcomes, and durable images.
 func TestParallelDeterminismSelfHeal(t *testing.T) {
-	serial := runSelfHeal(t, 1)
-	parallel := runSelfHeal(t, detWorkers)
-	if !reflect.DeepEqual(serial.rep, parallel.rep) {
-		t.Errorf("heal reports diverged\nserial:   %+v\nparallel: %+v", serial.rep, parallel.rep)
-	}
-	if !reflect.DeepEqual(serial.deg, parallel.deg) {
-		t.Errorf("degraded outcomes diverged\nserial:   %+v\nparallel: %+v", serial.deg, parallel.deg)
-	}
-	if !bytes.Equal(serial.nvm, parallel.nvm) {
-		t.Errorf("post-heal NVM images diverged")
-	}
-	if serial.rep.WatchdogAborts == 0 {
-		t.Errorf("planted stuck lock never tripped the watchdog: %+v", serial.rep)
+	seeds := []uint64{77, 78}
+	run := func(i int) selfHealRun { return runSelfHeal(t, seeds[i]) }
+	serial := fanOut(len(seeds), 1, run)
+	parallel := fanOut(len(seeds), detParallel, run)
+	for i, seed := range seeds {
+		s, p := serial[i], parallel[i]
+		if !reflect.DeepEqual(s.rep, p.rep) {
+			t.Errorf("seed %d: heal reports diverged\nserial:   %+v\nparallel: %+v", seed, s.rep, p.rep)
+		}
+		if !reflect.DeepEqual(s.deg, p.deg) {
+			t.Errorf("seed %d: degraded outcomes diverged\nserial:   %+v\nparallel: %+v", seed, s.deg, p.deg)
+		}
+		if !bytes.Equal(s.nvm, p.nvm) {
+			t.Errorf("seed %d: post-heal NVM images diverged", seed)
+		}
+		if s.rep.WatchdogAborts == 0 {
+			t.Errorf("seed %d: planted stuck lock never tripped the watchdog: %+v", seed, s.rep)
+		}
 	}
 }
 
 // TestParallelDeterminismRateSweep runs a reduced media-error rate sweep
-// with the simulator's parallel engine enabled under both Workers values
-// and compares the full structured reports.
+// at Parallel 1 and detParallel and compares the full structured reports.
 func TestParallelDeterminismRateSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rate-sweep smoke test skipped in -short mode")
 	}
-	run := func(workers int) *faultsim.RateReport {
+	run := func(par int) *faultsim.RateReport {
 		s := faultsim.DefaultRateSweep(2)
 		s.Rates = []float64{0.02, 0.15}
 		s.StuckFrac = 0.3
 		s.Blocks, s.BlockThreads = 16, 32
-		s.Opt.Dev.Workers = workers
+		s.Parallel = par
 		rep, err := s.Run()
 		if err != nil {
-			t.Fatalf("workers=%d: rate sweep failed: %v", workers, err)
+			t.Fatalf("parallel=%d: rate sweep failed: %v", par, err)
 		}
 		return rep
 	}
 	serial := run(1)
-	parallel := run(detWorkers)
+	parallel := run(detParallel)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("rate-sweep reports diverged\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
@@ -347,15 +374,14 @@ type clusterRun struct {
 	pool    []byte
 }
 
-func runCluster(t *testing.T, workers int) clusterRun {
+func runCluster(t *testing.T, seed uint64) clusterRun {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Devices = 3
 	cfg.Jobs = 6
 	cfg.BlocksPerJob = 2
 	cfg.BlockThreads = 32
-	cfg.Seed = 0x7001
-	cfg.Dev.Workers = workers
+	cfg.Seed = seed
 	cfg.Failures = []cluster.FailurePlan{
 		{Job: 1, Kind: cluster.Hang, AfterBlocks: 1},
 		{Job: 4, Kind: cluster.FailStop, AfterBlocks: 1},
@@ -363,60 +389,62 @@ func runCluster(t *testing.T, workers int) clusterRun {
 	cl := cluster.MustNew(cfg)
 	rep, err := cl.Run()
 	if err != nil {
-		t.Fatalf("workers=%d: cluster run failed: %v", workers, err)
+		t.Errorf("seed %#x: cluster run failed: %v", seed, err)
+		return clusterRun{}
 	}
 	if verr := cl.Verify(); verr != nil {
-		t.Fatalf("workers=%d: pool audit failed: %v", workers, verr)
+		t.Errorf("seed %#x: pool audit failed: %v", seed, verr)
 	}
 	js, jerr := json.Marshal(rep)
 	if jerr != nil {
-		t.Fatal(jerr)
+		t.Error(jerr)
 	}
 	return clusterRun{report: js, pool: cl.Pool().NVMImage()}
 }
 
 // TestParallelDeterminismCluster drives a 3-device cluster through a hang
 // and a fail-stop — heartbeat-timeout detection, shard fencing, durable
-// harvest, cross-device re-execution — under both engines and asserts
-// byte-identical cluster reports and shared pool images.
+// harvest, cross-device re-execution — one at a time and fanned out,
+// for two seeds, and asserts byte-identical cluster reports and shared
+// pool images.
 func TestParallelDeterminismCluster(t *testing.T) {
-	serial := runCluster(t, 1)
-	parallel := runCluster(t, detWorkers)
-	if !bytes.Equal(serial.report, parallel.report) {
-		t.Errorf("cluster reports diverged\nserial:   %s\nparallel: %s", serial.report, parallel.report)
-	}
-	if !bytes.Equal(serial.pool, parallel.pool) {
-		t.Errorf("shared pool images diverged")
+	seeds := []uint64{0x7001, 0x7003}
+	run := func(i int) clusterRun { return runCluster(t, seeds[i]) }
+	serial := fanOut(len(seeds), 1, run)
+	parallel := fanOut(len(seeds), detParallel, run)
+	for i, seed := range seeds {
+		if !bytes.Equal(serial[i].report, parallel[i].report) {
+			t.Errorf("seed %#x: cluster reports diverged\nserial:   %s\nparallel: %s", seed, serial[i].report, parallel[i].report)
+		}
+		if !bytes.Equal(serial[i].pool, parallel[i].pool) {
+			t.Errorf("seed %#x: shared pool images diverged", seed)
+		}
 	}
 }
 
 // TestParallelDeterminismClusterCampaign runs a reduced multi-device
-// failover campaign under both gpusim engine widths and both host
-// fan-out widths, comparing the full structured reports — the
-// acceptance pin for the cluster's Workers=1 vs Workers=8 contract.
+// failover campaign at Parallel 1 and detParallel, comparing the full
+// structured reports — the acceptance pin for the cluster campaign's
+// fan-out contract.
 func TestParallelDeterminismClusterCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster campaign smoke test skipped in -short mode")
 	}
-	run := func(workers, hostPar int) *faultsim.ClusterReport {
+	run := func(par int) *faultsim.ClusterReport {
 		c := faultsim.DefaultClusterCampaign(2)
 		c.DeviceCounts = []int{2, 3}
 		c.Jobs = 4
 		c.BlocksPerJob = 2
 		c.BlockThreads = 32
-		c.Opt.Dev.Workers = workers
-		c.Parallel = hostPar
+		c.Parallel = par
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d parallel=%d: cluster campaign failed: %v", workers, hostPar, err)
+			t.Fatalf("parallel=%d: cluster campaign failed: %v", par, err)
 		}
 		return rep
 	}
-	base := run(1, 1)
-	for _, alt := range []*faultsim.ClusterReport{run(detWorkers, 1), run(1, 8), run(detWorkers, 8)} {
-		if !reflect.DeepEqual(base, alt) {
-			t.Errorf("cluster campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
-		}
+	if base, alt := run(1), run(detParallel); !reflect.DeepEqual(base, alt) {
+		t.Errorf("cluster campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
 	}
 }
 
@@ -427,38 +455,38 @@ type replicatedRun struct {
 	pool   []byte
 }
 
-func runReplicatedCluster(t *testing.T, workers int) replicatedRun {
+func runReplicatedCluster(t *testing.T, seed uint64) replicatedRun {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
 	cfg.Devices = 3
 	cfg.Jobs = 6
 	cfg.BlocksPerJob = 2
 	cfg.BlockThreads = 32
-	cfg.Seed = 0x7002
+	cfg.Seed = seed
 	cfg.Replicas = 2
 	cfg.Placer = cluster.Affinity
 	cfg.Model = "sbrp"
-	cfg.Dev.Workers = workers
 	cfg.Failures = []cluster.FailurePlan{
 		{Job: 2, Kind: cluster.FailStop, AfterBlocks: 1},
 	}
 	cl := cluster.MustNew(cfg)
 	rep, err := cl.Run()
 	if err != nil {
-		t.Fatalf("workers=%d: replicated cluster run failed: %v", workers, err)
+		t.Errorf("seed %#x: replicated cluster run failed: %v", seed, err)
+		return replicatedRun{}
 	}
 	if verr := cl.Verify(); verr != nil {
-		t.Fatalf("workers=%d: pool audit failed: %v", workers, verr)
+		t.Errorf("seed %#x: pool audit failed: %v", seed, verr)
 	}
 	if rep.Adopted == 0 {
-		t.Fatalf("workers=%d: failover never adopted a replica: %+v", workers, rep)
+		t.Errorf("seed %#x: failover never adopted a replica: %+v", seed, rep)
 	}
 	if rep.ReexecutedBlocks != 0 {
-		t.Fatalf("workers=%d: replicated failover re-executed %d blocks", workers, rep.ReexecutedBlocks)
+		t.Errorf("seed %#x: replicated failover re-executed %d blocks", seed, rep.ReexecutedBlocks)
 	}
 	js, jerr := json.Marshal(rep)
 	if jerr != nil {
-		t.Fatal(jerr)
+		t.Error(jerr)
 	}
 	return replicatedRun{report: js, pool: cl.Pool().NVMImage()}
 }
@@ -466,46 +494,47 @@ func runReplicatedCluster(t *testing.T, workers int) replicatedRun {
 // TestParallelDeterminismReplicatedCluster drives a 3-device cluster
 // with R=2 replicated placement through a fail-stop — replica fan-out
 // inside the shared-clock loop, quorum harvest, freshness judging,
-// zero-re-execution adoption, online rebalance — under both engine
-// widths and asserts byte-identical reports and pool images.
+// zero-re-execution adoption, online rebalance — one at a time and
+// fanned out, for two seeds, and asserts byte-identical reports and pool
+// images.
 func TestParallelDeterminismReplicatedCluster(t *testing.T) {
-	serial := runReplicatedCluster(t, 1)
-	parallel := runReplicatedCluster(t, detWorkers)
-	if !bytes.Equal(serial.report, parallel.report) {
-		t.Errorf("replicated cluster reports diverged\nserial:   %s\nparallel: %s",
-			serial.report, parallel.report)
-	}
-	if !bytes.Equal(serial.pool, parallel.pool) {
-		t.Errorf("replicated cluster NVM images diverged between engines")
+	seeds := []uint64{0x7002, 0x7004}
+	run := func(i int) replicatedRun { return runReplicatedCluster(t, seeds[i]) }
+	serial := fanOut(len(seeds), 1, run)
+	parallel := fanOut(len(seeds), detParallel, run)
+	for i, seed := range seeds {
+		if !bytes.Equal(serial[i].report, parallel[i].report) {
+			t.Errorf("seed %#x: replicated cluster reports diverged\nserial:   %s\nparallel: %s",
+				seed, serial[i].report, parallel[i].report)
+		}
+		if !bytes.Equal(serial[i].pool, parallel[i].pool) {
+			t.Errorf("seed %#x: replicated cluster NVM images diverged", seed)
+		}
 	}
 }
 
 // TestParallelDeterminismReplicaCampaign runs a reduced replicated
-// failover campaign under both gpusim engine widths and both host
-// fan-out widths, comparing the full structured reports — the
-// acceptance pin for the -replicas campaign's determinism contract.
+// failover campaign at Parallel 1 and detParallel, comparing the full
+// structured reports — the acceptance pin for the -replicas campaign's
+// determinism contract.
 func TestParallelDeterminismReplicaCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replica campaign smoke test skipped in -short mode")
 	}
-	run := func(workers, hostPar int) *faultsim.ReplicaReport {
+	run := func(par int) *faultsim.ReplicaReport {
 		c := faultsim.DefaultReplicaCampaign(2)
 		c.Devices = 3
 		c.Jobs = 4
 		c.BlocksPerJob = 2
 		c.BlockThreads = 32
-		c.Opt.Dev.Workers = workers
-		c.Parallel = hostPar
+		c.Parallel = par
 		rep, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d parallel=%d: replica campaign failed: %v", workers, hostPar, err)
+			t.Fatalf("parallel=%d: replica campaign failed: %v", par, err)
 		}
 		return rep
 	}
-	base := run(1, 1)
-	for _, alt := range []*faultsim.ReplicaReport{run(detWorkers, 1), run(1, 8), run(detWorkers, 8)} {
-		if !reflect.DeepEqual(base, alt) {
-			t.Errorf("replica campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
-		}
+	if base, alt := run(1), run(detParallel); !reflect.DeepEqual(base, alt) {
+		t.Errorf("replica campaign reports diverged\nbase: %+v\nalt:  %+v", base, alt)
 	}
 }

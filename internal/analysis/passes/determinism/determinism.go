@@ -3,8 +3,8 @@
 // order-sensitive sinks without an intervening sort.
 //
 // The runtime counterpart is the root determinism suite: every report,
-// durable image, and campaign summary must be bit-identical at Workers=1
-// and Workers=8, across GOMAXPROCS. The three ways code breaks that
+// durable image, and campaign summary must be bit-identical at host
+// fan-out width 1 and 8, across GOMAXPROCS. The three ways code breaks that
 // contract in practice are reading the clock, consulting the global
 // math/rand source, and letting Go's randomized map iteration order leak
 // into output or durable writes. All three are detectable statically.

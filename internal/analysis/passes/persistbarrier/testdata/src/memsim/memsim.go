@@ -1,5 +1,5 @@
 // Fixture for the persistbarrier analyzer's raw-nvm shape: a miniature
-// of the real memsim internals. Only the snapshot-safe mutators may
+// of the real memsim internals. Only the durable write path mutators may
 // touch the nvm backing array directly.
 package memsim
 
@@ -24,14 +24,14 @@ func (m *Memory) ensureNVM(end int) {
 }
 
 func (m *Memory) restoreRaw(img []byte) {
-	copy(m.nvm, img) // want "copy into Memory.nvm"
+	copy(m.nvm, img) // want "copy into Memory.nvm bypasses the durable write path"
 	for i := len(img); i < len(m.nvm); i++ {
-		m.nvm[i] = 0 // want "raw write to Memory.nvm"
+		m.nvm[i] = 0 // want "raw write to Memory.nvm bypasses the durable write path"
 	}
 }
 
 func (m *Memory) pokeByte(addr uint64, b byte) {
-	m.nvm[addr] = b // want "raw write to Memory.nvm"
+	m.nvm[addr] = b // want "raw write to Memory.nvm bypasses the durable write path"
 }
 
 func (m *Memory) flipBit(addr uint64, bit uint8) {
@@ -40,7 +40,7 @@ func (m *Memory) flipBit(addr uint64, bit uint8) {
 }
 
 func (m *Memory) sliceCopy(addr uint64, buf []byte) {
-	copy(m.nvm[addr:addr+8], buf) // want "copy into Memory.nvm"
+	copy(m.nvm[addr:addr+8], buf) // want "copy into Memory.nvm bypasses the durable write path"
 }
 
 func (m *Memory) peek(addr uint64, size int) []byte {

@@ -9,7 +9,8 @@
 // collapses to one trajectory while the reports keep claiming seeded
 // breadth. Package-level RNGs are worse: they thread hidden state across
 // callers, so two identically-seeded runs diverge the moment call order
-// changes (exactly what the Workers=1-vs-8 contract forbids).
+// changes (exactly what the fan-out-width determinism contract forbids:
+// Parallel=8 interleaves callers that Parallel=1 runs in order).
 package seedplumb
 
 import (

@@ -38,7 +38,7 @@
 // the duration of each copy.
 //
 // Everything is deterministic: the same Config produces a bit-identical
-// report and pool image at any gpusim Workers value and any host
+// report and pool image across reruns, host fan-out widths and
 // GOMAXPROCS — the repo's determinism contract extends to whole-cluster
 // failover.
 package cluster
@@ -264,7 +264,7 @@ type DeviceReport struct {
 }
 
 // Report summarizes one cluster run. It is a pure function of the
-// Config — bit-identical at any Workers or GOMAXPROCS.
+// Config — bit-identical across reruns, fan-out widths and GOMAXPROCS.
 type Report struct {
 	Devices   int        `json:"devices"`
 	Jobs      int        `json:"jobs"`

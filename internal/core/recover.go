@@ -78,9 +78,8 @@ func (lp *LP) Validate(recompute RecomputeFunc) ([]int, gpusim.LaunchResult, err
 	// Phase 2: look the stored checksums up and compare. Fused regions
 	// additionally require every member block's contribution to have
 	// persisted (the contributor count must equal the group size). Each
-	// validating block owns exactly one region, so outcomes are written
-	// to disjoint slots of failedMark — safe even if the simulator ever
-	// executes blocks concurrently (a shared append would race).
+	// validating block owns exactly one region and writes only that
+	// region's slot of failedMark.
 	failedMark := make([]bool, lp.regions)
 	lres := lp.dev.Launch("lp-validate-lookup", gpusim.D1(lp.regions), gpusim.D1(32), func(b *gpusim.Block) {
 		b.ForAll(func(t *gpusim.Thread) {

@@ -33,8 +33,8 @@ func (lp *LP) Begin(b *gpusim.Block) *Region {
 	if b.GridDim != lp.grid || b.BlockDim != lp.blk {
 		panic("core: block geometry does not match the LP runtime's geometry")
 	}
-	// Accumulators are allocated per region, not shared on the runtime:
-	// with Config.Workers > 1 several blocks fold checksums concurrently.
+	// Accumulators are allocated per region, not shared on the runtime,
+	// so a region's checksum holds only its own block's stores.
 	nt := lp.blk.Size()
 	return &Region{lp: lp, b: b, key: uint64(b.LinearIdx / lp.fusion), mod: make([]uint64, nt), par: make([]uint64, nt)}
 }

@@ -309,7 +309,7 @@ func (h *healState) repairSelected(name string, blks []int) (bool, error) {
 // and an error wrapping ErrUnrecoverable when even the surviving regions
 // cannot be repaired. The whole procedure consults only simulated state,
 // so its result — including the quarantine set — is bit-identical across
-// gpusim Workers settings.
+// reruns.
 func (lp *LP) SelfHeal(kernel gpusim.KernelFunc, recompute RecomputeFunc, opts HealOpts) (HealReport, error) {
 	opts = opts.withDefaults()
 	rep := HealReport{Coverage: 1}

@@ -27,18 +27,10 @@ type Block struct {
 	totAtomicStall int64
 
 	// storeHook, when set, observes this block's data stores; it shadows
-	// the device-level hook. Per-block hooks are the concurrency-safe way
-	// for wrappers (core.Instrument, ep.Wrap) to instrument stores: a
-	// device-level hook installed from inside a kernel would race when
-	// blocks run on the worker pool.
+	// the device-level hook. Per-block hooks are how wrappers
+	// (core.Instrument, ep.Wrap) scope instrumentation to the block they
+	// wrap, leaving the device-level hook to whoever installed it.
 	storeHook StoreHook
-
-	// spec is non-nil while the block executes speculatively on a worker
-	// (see spec.go); onCommit and staged hold side effects deferred to the
-	// block's dispatch-order commit.
-	spec     *specState
-	onCommit []func()
-	staged   map[any]any
 
 	thread Thread // reused across iterations to avoid allocation
 }
@@ -57,48 +49,13 @@ func (b *Block) Cycles() int64 { return b.cycles }
 
 // SetStoreHook installs a per-block store hook, returning the previous
 // one. The block hook shadows the device-level hook for this block's
-// stores. Kernel wrappers must use this (not Device.SetStoreHook) so
-// instrumentation stays correct when blocks execute concurrently.
+// stores. Kernel wrappers use this (not Device.SetStoreHook) so their
+// instrumentation ends with the block instead of leaking into later
+// launches.
 func (b *Block) SetStoreHook(h StoreHook) StoreHook {
 	prev := b.storeHook
 	b.storeHook = h
 	return prev
-}
-
-// Speculative reports whether the block is currently executing
-// speculatively on a worker (Config.Workers > 1). Host-side bookkeeping
-// that must not run twice — or must not run concurrently — should be
-// deferred with OnCommit or staged with Staged when this is true.
-func (b *Block) Speculative() bool { return b.spec != nil }
-
-// OnCommit runs fn now when executing directly, or queues it to run at
-// the block's dispatch-order commit when executing speculatively. Queued
-// functions run on the committer goroutine, in registration order, only
-// if the speculative trace validates; a re-executed block discards them
-// (the direct re-execution runs its own OnCommit calls immediately).
-func (b *Block) OnCommit(fn func()) {
-	if b.spec != nil {
-		b.onCommit = append(b.onCommit, fn)
-		return
-	}
-	fn()
-}
-
-// Staged returns a per-block staging value for key, calling create on
-// first use. It gives kernel-adjacent host code (e.g. hash-table
-// statistics) a private accumulator while the block runs speculatively;
-// pair it with OnCommit to merge the staged value into shared state at
-// commit time.
-func (b *Block) Staged(key any, create func() any) any {
-	if v, ok := b.staged[key]; ok {
-		return v
-	}
-	if b.staged == nil {
-		b.staged = map[any]any{}
-	}
-	v := create()
-	b.staged[key] = v
-	return v
 }
 
 // SharedF32 returns (allocating on first use) a named per-block shared
@@ -151,10 +108,6 @@ func (b *Block) SharedI32(name string, n int) []int32 {
 // fused phase models, e.g. between warp-partial staging and the final
 // reduce).
 func (b *Block) Barrier() {
-	if s := b.spec; s != nil {
-		s.phases = append(s.phases, phaseRec{barrierOnly: true})
-		return
-	}
 	b.cycles += b.barrierCost()
 }
 
@@ -162,6 +115,33 @@ func (b *Block) Barrier() {
 // that must rendezvous: a one-warp block synchronizes almost for free.
 func (b *Block) barrierCost() int64 {
 	return barrierCostFor(b.dev.cfg, b.NumWarps())
+}
+
+// barrierCostFor is Block.barrierCost as a pure function of the config
+// and the warp count.
+func barrierCostFor(cfg Config, numWarps int) int64 {
+	cost := int64(4 * numWarps)
+	if max := cfg.BarrierCycles; cost > max {
+		cost = max
+	}
+	return cost
+}
+
+// phaseCost is the roofline charge of one phase: issue-limited compute
+// against the slower of the per-SM L2 and NVM bandwidth shares.
+func phaseCost(cfg Config, warpInstrs, l2, nvm int64) int64 {
+	compute := int64(float64(warpInstrs) / cfg.IssueWidth)
+	l2Cyc := int64(float64(l2) / (cfg.L2BytesPerCycle / float64(cfg.NumSMs)))
+	nvmCyc := int64(float64(nvm) / (cfg.NVMBytesPerCycle / float64(cfg.NumSMs)))
+	mem := l2Cyc
+	if nvmCyc > mem {
+		mem = nvmCyc
+	}
+	phase := compute
+	if mem > phase {
+		phase = mem
+	}
+	return phase
 }
 
 // ForAll executes fn once per thread of the block and then charges the
@@ -230,22 +210,6 @@ func (b *Block) WarpPhase(fn func(w *Warp)) {
 }
 
 func (b *Block) endPhase(warpInstrs, l2, nvm, stall int64) {
-	if s := b.spec; s != nil {
-		// Speculative: the phase's NVM traffic is unknowable here (it
-		// depends on cache state at the block's dispatch position), so only
-		// the cache-independent charge inputs are recorded; replaySpec
-		// recomputes nvm, the phase cost, and the totals at commit.
-		s.phases = append(s.phases, phaseRec{
-			warpInstrs: warpInstrs,
-			l2:         l2,
-			stall:      stall,
-			ops:        s.curOps,
-			events:     s.curEv,
-		})
-		s.curOps = nil
-		s.curEv = nil
-		return
-	}
 	b.cycles += phaseCost(b.dev.cfg, warpInstrs, l2, nvm) + stall + b.barrierCost()
 
 	b.totWarpInstrs += warpInstrs

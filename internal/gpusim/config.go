@@ -68,12 +68,9 @@ type Config struct {
 	BlockDispatchCycles int64
 	// ClockGHz converts cycles to time for reporting.
 	ClockGHz float64
-	// Workers is the number of host worker goroutines executing thread
-	// blocks speculatively during the functional pass. Values <= 1 select
-	// the serial engine. Any value produces bit-identical results — the
-	// commit loop validates and replays speculative blocks in dispatch
-	// order (see spec.go) — so Workers trades host CPU for wall-clock
-	// speed without perturbing the simulation.
+	// Workers is a retired knob, kept only because the host-time
+	// benchmark (perfbench) still assigns Workers = 1. Blocks always run
+	// one at a time; Validate rejects values above 1.
 	Workers int
 	// WatchdogSteps arms the kernel watchdog: a thread that charges more
 	// than this many instructions within one phase is presumed hung (e.g.
@@ -82,7 +79,7 @@ type Config struct {
 	// consistent crash image, instead of livelocking the simulator. The
 	// budget is counted in charged steps of the deterministic functional
 	// pass — a simulated clock, never wall time — so an abort is
-	// bit-identical across Workers settings. 0 disables the watchdog.
+	// bit-identical across reruns. 0 disables the watchdog.
 	WatchdogSteps int64
 }
 
@@ -127,6 +124,8 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "NVMBytesPerCycle", Reason: "must be positive"}
 	case c.WatchdogSteps < 0:
 		return &ConfigError{Field: "WatchdogSteps", Reason: "must be non-negative (0 disables)"}
+	case c.Workers > 1:
+		return &ConfigError{Field: "Workers", Reason: "must be 0 or 1 (retired: blocks always run serially)"}
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ func TestConfigValidationBranches(t *testing.T) {
 		{"L2BytesPerCycle", func(c *Config) { c.L2BytesPerCycle = 0 }},
 		{"NVMBytesPerCycle", func(c *Config) { c.NVMBytesPerCycle = 0 }},
 		{"WatchdogSteps", func(c *Config) { c.WatchdogSteps = -1 }},
+		{"Workers", func(c *Config) { c.Workers = 2 }},
 	}
 	for _, m := range mutations {
 		cfg := DefaultConfig()
@@ -47,6 +48,11 @@ func TestConfigValidationBranches(t *testing.T) {
 	t.Run("valid", func(t *testing.T) {
 		if _, err := New(DefaultConfig(), mem); err != nil {
 			t.Fatalf("default config rejected: %v", err)
+		}
+		retired := DefaultConfig()
+		retired.Workers = 1
+		if _, err := New(retired, mem); err != nil {
+			t.Fatalf("Workers=1 rejected: %v", err)
 		}
 	})
 	t.Run("mustnew panics", func(t *testing.T) {

@@ -26,8 +26,7 @@ type Device struct {
 	id    int
 	label string
 	// launchName is the name of the launch in flight, read by the watchdog
-	// when it aborts. Written once per launch before any worker goroutine
-	// starts, so concurrent reads during the functional pass are safe.
+	// and the heartbeat when they report.
 	launchName string
 	// barrierStall is PersistBarrier's charge in cycles: one NVM write
 	// latency at the core clock.
@@ -35,7 +34,7 @@ type Device struct {
 }
 
 // Heartbeat is one liveness report from a launch in flight: the device
-// emits it after every thread-block commit. A cluster control plane uses
+// emits it after every retired thread block. A cluster control plane uses
 // the stream to detect hangs (silence past a timeout) and to decide
 // where to inject failures.
 type Heartbeat struct {
@@ -49,10 +48,9 @@ type Heartbeat struct {
 	Cycle int64
 }
 
-// HeartbeatFunc observes launch heartbeats. It runs on the commit path —
-// after each block retires, at the identical point in the serial and
-// parallel engines — so it must not mutate device memory; calling
-// RequestAbort from inside it is the intended use.
+// HeartbeatFunc observes launch heartbeats. It runs after each block
+// retires and must not mutate device memory; calling RequestAbort from
+// inside it is the intended use.
 type HeartbeatFunc func(hb Heartbeat)
 
 // SetHeartbeat installs fn (nil to remove) and returns the previous one.
@@ -246,14 +244,7 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	// Pass 1: functional execution in dispatch order, with a zero-queueing
 	// greedy schedule providing approximate absolute times (used only by
 	// RacyTouch race windows). Serialization events are recorded per block.
-	// With Workers > 1, blocks execute speculatively on a host pool and are
-	// committed in dispatch order, producing bit-identical recs.
-	var recs []blockRec
-	if d.cfg.Workers > 1 && len(order) > 1 {
-		recs = d.runBlocksParallel(grid, block, kernel, order, slots, &res)
-	} else {
-		recs = d.runBlocksSerial(grid, block, kernel, order, slots, &res)
-	}
+	recs := d.runBlocks(grid, block, kernel, order, slots, &res)
 	res.Blocks = len(recs)
 
 	// Pass 2: fixed-point timing with queueing delays.
@@ -265,9 +256,9 @@ func (d *Device) launch(name string, grid, block Dim3, kernel KernelFunc, select
 	return res
 }
 
-// runBlocksSerial executes blocks one at a time in dispatch order — the
-// reference engine every parallel run must match bit-for-bit.
-func (d *Device) runBlocksSerial(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) []blockRec {
+// runBlocks executes blocks one at a time in dispatch order, stopping
+// early when a crash trigger, the watchdog or an abort request fires.
+func (d *Device) runBlocks(grid, block Dim3, kernel KernelFunc, order []int, slots []int64, res *LaunchResult) []blockRec {
 	recs := make([]blockRec, 0, len(order))
 	for orderIdx, lin := range order {
 		// Earliest-free slot.

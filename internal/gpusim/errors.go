@@ -60,8 +60,8 @@ func (e *WatchdogError) Error() string {
 func (e *WatchdogError) Unwrap() error { return ErrWatchdog }
 
 // watchdogAbort is the panic payload that unwinds a hung kernel out of
-// the functional pass; the engines recover it and convert it into a
-// LaunchResult.Watchdog abort.
+// the functional pass; runBlockGuarded recovers it and the launch turns
+// it into a LaunchResult.Watchdog abort.
 type watchdogAbort struct{ err *WatchdogError }
 
 // runBlockGuarded runs kernel(b), converting a watchdog abort into a

@@ -601,3 +601,37 @@ func TestCyclesToMS(t *testing.T) {
 		t.Errorf("CyclesToMS(1s) = %v ms", ms)
 	}
 }
+
+// TestPhaseCostMatchesSerialHelpers pins the pure timing helpers to an
+// independent restatement of the roofline and barrier arithmetic.
+func TestPhaseCostMatchesSerialHelpers(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, nw := range []int{1, 2, 7, 32, 64} {
+		got := barrierCostFor(cfg, nw)
+		want := int64(4 * nw)
+		if want > cfg.BarrierCycles {
+			want = cfg.BarrierCycles
+		}
+		if got != want {
+			t.Errorf("barrierCostFor(%d) = %d, want %d", nw, got, want)
+		}
+	}
+	cases := []struct{ wi, l2, nvm int64 }{
+		{0, 0, 0}, {1000, 0, 0}, {10, 50000, 10}, {10, 10, 90000}, {12345, 6789, 4242},
+	}
+	for _, c := range cases {
+		compute := int64(float64(c.wi) / cfg.IssueWidth)
+		l2Cyc := int64(float64(c.l2) / (cfg.L2BytesPerCycle / float64(cfg.NumSMs)))
+		nvmCyc := int64(float64(c.nvm) / (cfg.NVMBytesPerCycle / float64(cfg.NumSMs)))
+		want := compute
+		if l2Cyc > want {
+			want = l2Cyc
+		}
+		if nvmCyc > want {
+			want = nvmCyc
+		}
+		if got := phaseCost(cfg, c.wi, c.l2, c.nvm); got != want {
+			t.Errorf("phaseCost(%+v) = %d, want %d", c, got, want)
+		}
+	}
+}

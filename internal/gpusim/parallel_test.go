@@ -2,120 +2,75 @@ package gpusim
 
 import (
 	"reflect"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"gpulp/internal/memsim"
 )
 
-// newParTestSystem builds a small device pair (serial + parallel over the
-// same config) with fresh memories, for side-by-side launches.
-func newParTestSystem(workers int) (*Device, *memsim.Memory) {
+// Host-parallel independence of simulator instances. Campaigns, the
+// harness and the checker fan cases out across host goroutines, each case
+// on its own Device and Memory. These tests run a launch once on its own
+// and then on parallelDevices fresh systems at the same time, and require
+// every concurrent run to match the lone run bit for bit: state shared
+// between instances shows up as a divergence, or as a report under -race.
+
+const parallelDevices = 4
+
+// launchOutcome is every observable output of one launch on a fresh
+// system; probe carries test-specific values read back after the launch.
+type launchOutcome struct {
+	res   LaunchResult
+	trace LaunchTrace
+	stats memsim.Stats
+	nvm   []byte
+	probe []uint64
+}
+
+// newParTestSystem builds a default device over a fresh memory, with a
+// trace sink capturing the launch into out.
+func newParTestSystem(out *launchOutcome) (*Device, *memsim.Memory) {
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	return MustNew(cfg, mem), mem
+	dev := MustNew(DefaultConfig(), mem)
+	dev.SetTraceSink(func(lt LaunchTrace) { out.trace = lt })
+	return dev, mem
 }
 
-// launchBoth runs the same kernel construction serially and with workers
-// workers on fresh systems, returning both results and both traces.
-func launchBoth(t *testing.T, workers int, setup func(d *Device) (Dim3, Dim3, KernelFunc)) (sres, pres LaunchResult, strace, ptrace LaunchTrace) {
+// runAloneAndConcurrently calls run once, then parallelDevices times
+// concurrently, reports any concurrent outcome that differs from the lone
+// one, and returns the lone outcome. run must build its own system and
+// must not call t.Fatal (it runs off the test goroutine).
+func runAloneAndConcurrently(t *testing.T, run func() launchOutcome) launchOutcome {
 	t.Helper()
-	run := func(w int) (LaunchResult, LaunchTrace, *memsim.Memory) {
-		dev, mem := newParTestSystem(w)
-		var tr LaunchTrace
-		dev.SetTraceSink(func(lt LaunchTrace) { tr = lt })
-		grid, blk, kernel := setup(dev)
-		return dev.Launch("par-test", grid, blk, kernel), tr, mem
+	alone := run()
+	outs := make([]launchOutcome, parallelDevices)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = run()
+		}(i)
 	}
-	sres, strace, smem := run(1)
-	pres, ptrace, pmem := run(workers)
-	if sstats, pstats := smem.Stats(), pmem.Stats(); !reflect.DeepEqual(sstats, pstats) {
-		t.Errorf("memory stats diverged\nserial:   %+v\nparallel: %+v", sstats, pstats)
-	}
-	if s, p := smem.NVMImage(), pmem.NVMImage(); !reflect.DeepEqual(s, p) {
-		t.Errorf("NVM images diverged")
-	}
-	return
-}
-
-func assertSameLaunch(t *testing.T, sres, pres LaunchResult, strace, ptrace LaunchTrace) {
-	t.Helper()
-	if sres != pres {
-		t.Errorf("launch result diverged\nserial:   %+v\nparallel: %+v", sres, pres)
-	}
-	if !reflect.DeepEqual(strace, ptrace) {
-		t.Errorf("launch trace diverged\nserial:   %+v\nparallel: %+v", strace, ptrace)
-	}
-}
-
-// TestParallelEventMergeDispatchOrder is the dispatch-order merge
-// regression: block 0 carries a heavy compute phase while every later
-// block issues atomics almost immediately, so under the worker pool the
-// fast blocks complete long before block 0 — the exact inversion that
-// would corrupt the flattened event stream if results were merged in
-// completion order. The schedule() input must be byte-identical to the
-// serial engine, which shows up as identical cycle counts, stall totals,
-// and per-block trace rows.
-func TestParallelEventMergeDispatchOrder(t *testing.T) {
-	completed := make(chan int, 64)
-	setup := func(parallel bool) func(d *Device) (Dim3, Dim3, KernelFunc) {
-		return func(d *Device) (Dim3, Dim3, KernelFunc) {
-			ctr := d.Alloc("ctr", 4096)
-			return D1(32), D1(32), func(b *Block) {
-				b.ForAll(func(th *Thread) {
-					if b.LinearIdx == 0 {
-						th.Op(2_000_000) // block 0 takes far longer than the rest
-					}
-					// All blocks contend on a handful of atomic words.
-					th.AtomicAddU64(ctr, (b.LinearIdx+th.Linear)%8, 1)
-					th.AtomicAddU64(ctr, 64+b.LinearIdx%4, 1)
-				})
-				if parallel {
-					select {
-					case completed <- b.LinearIdx:
-					default:
-					}
-				}
-			}
+	wg.Wait()
+	for i, o := range outs {
+		if !reflect.DeepEqual(alone, o) {
+			t.Errorf("concurrent device %d diverged from the lone run\nalone:      %+v probe=%v\nconcurrent: %+v probe=%v",
+				i, alone.res, alone.probe, o.res, o.probe)
 		}
 	}
-	sres, pres, strace, ptrace := launchBoth(t, 8, setup(false))
-	_ = setup(true) // completion-order probe used below
-
-	assertSameLaunch(t, sres, pres, strace, ptrace)
-	if sres.AtomicStallCycles == 0 {
-		t.Fatalf("test kernel produced no atomic contention; event merge not exercised")
-	}
-
-	// Confirm the premise: under the pool, completion order actually
-	// differs from dispatch order (block 0 finishes late).
-	dev, _ := newParTestSystem(8)
-	grid, blk, kernel := setup(true)(dev)
-	dev.Launch("completion-order", grid, blk, kernel)
-	close(completed)
-	order := make([]int, 0, 32)
-	for idx := range completed {
-		order = append(order, idx)
-	}
-	inverted := false
-	for i, idx := range order {
-		if idx == 0 && i > 0 {
-			inverted = true
-		}
-	}
-	if !inverted {
-		t.Logf("note: speculative completion order %v did not invert; merge still validated by equality", order)
-	}
+	return alone
 }
 
-// TestParallelLocks runs a lock-contended kernel under both engines: lock
-// acquisition counts, hold times, and FIFO queueing stalls must match.
+// TestParallelLocks runs a lock-contended kernel: acquisition counts,
+// hold times and FIFO queueing stalls must not depend on what other
+// devices run at the same time.
 func TestParallelLocks(t *testing.T) {
-	setup := func(d *Device) (Dim3, Dim3, KernelFunc) {
-		data := d.Alloc("data", 8192)
-		lock := d.NewLock("tab")
-		return D1(24), D1(32), func(b *Block) {
+	out := runAloneAndConcurrently(t, func() (o launchOutcome) {
+		dev, mem := newParTestSystem(&o)
+		data := dev.Alloc("data", 8192)
+		lock := dev.NewLock("tab")
+		o.res = dev.Launch("locks", D1(24), D1(32), func(b *Block) {
 			b.ForAll(func(th *Thread) {
 				if th.Linear == 0 {
 					th.LockAcquire(lock)
@@ -125,237 +80,149 @@ func TestParallelLocks(t *testing.T) {
 					th.LockRelease(lock)
 				}
 			})
-		}
+		})
+		o.stats, o.nvm = mem.Stats(), mem.NVMImage()
+		o.probe = []uint64{uint64(lock.Acquisitions())}
+		return o
+	})
+	if out.res.LockStallCycles == 0 {
+		t.Fatal("test kernel produced no lock queueing; lock path not exercised")
 	}
-	sres, pres, strace, ptrace := launchBoth(t, 8, setup)
-	assertSameLaunch(t, sres, pres, strace, ptrace)
-	if sres.LockStallCycles == 0 {
-		t.Fatalf("test kernel produced no lock queueing; lock path not exercised")
+	if out.probe[0] != 24 {
+		t.Fatalf("lock acquired %d times, want 24", out.probe[0])
 	}
 }
 
-// TestParallelRacyTouchReexec verifies that blocks using the
-// order-sensitive RacyTouch primitive are re-executed at their dispatch
-// slot: results must match the serial engine exactly (including the
-// deterministic race outcomes).
-func TestParallelRacyTouchReexec(t *testing.T) {
-	setup := func(d *Device) (Dim3, Dim3, KernelFunc) {
-		tab := d.Alloc("tab", 4096)
-		return D1(16), D1(32), func(b *Block) {
+// TestParallelRacyTouch checks the deterministic race model: blocks that
+// share a sector inside the race window see a lost update, and the
+// outcomes depend only on the device's own timeline.
+func TestParallelRacyTouch(t *testing.T) {
+	out := runAloneAndConcurrently(t, func() (o launchOutcome) {
+		dev, mem := newParTestSystem(&o)
+		tab := dev.Alloc("tab", 4096)
+		raced := make([]uint64, 16)
+		o.res = dev.Launch("racy", D1(16), D1(32), func(b *Block) {
 			b.ForAll(func(th *Thread) {
 				if th.Linear == 0 {
 					slot := b.LinearIdx % 4
-					raced := th.RacyTouch(tab, slot*32, 1_000_000)
-					if raced {
+					if th.RacyTouch(tab, slot*32, 1_000_000) {
+						raced[b.LinearIdx] = 1
 						th.Op(500) // redo penalty
 					}
 					th.StoreU64(tab, slot, uint64(b.LinearIdx))
 				}
 			})
-		}
-	}
-	sres, pres, strace, ptrace := launchBoth(t, 8, setup)
-	assertSameLaunch(t, sres, pres, strace, ptrace)
-}
-
-// TestParallelStaleLoadReexec forces genuine speculation failures: every
-// block read-modify-writes the same word with plain loads/stores, so all
-// but the first committed block observe stale snapshot values and must
-// re-execute. The final memory value and all statistics must match the
-// serial engine.
-func TestParallelStaleLoadReexec(t *testing.T) {
-	run := func(w int) (LaunchResult, uint64) {
-		dev, mem := newParTestSystem(w)
-		acc := dev.Alloc("acc", 64)
-		res := dev.Launch("chain", D1(20), D1(1), func(b *Block) {
-			b.ForAll(func(th *Thread) {
-				v := th.LoadU64(acc, 0)
-				th.StoreU64(acc, 0, v+1)
-			})
 		})
-		return res, mem.PeekCoherentU64(acc.Base)
-	}
-	sres, sval := run(1)
-	pres, pval := run(8)
-	if sres != pres {
-		t.Errorf("launch result diverged\nserial:   %+v\nparallel: %+v", sres, pres)
-	}
-	if sval != 20 || pval != 20 {
-		t.Errorf("chained increments lost: serial=%d parallel=%d, want 20", sval, pval)
+		o.stats, o.nvm, o.probe = mem.Stats(), mem.NVMImage(), raced
+		return o
+	})
+	// Blocks 0-3 are first on their sectors; every later block lands
+	// within the window of an earlier one.
+	for blk, r := range out.probe {
+		if want := blk >= 4; (r == 1) != want {
+			t.Errorf("block %d raced=%v, want %v", blk, r == 1, want)
+		}
 	}
 }
 
-// TestParallelCrashTriggers checks both crash trigger styles fire at the
-// same point under the pool as serially.
+// TestParallelCrashTriggers checks both crash trigger styles fire once,
+// at the block the schedule predicts.
 func TestParallelCrashTriggers(t *testing.T) {
-	mkSetup := func(d *Device) (Dim3, Dim3, KernelFunc) {
-		out := d.Alloc("out", 64*1024)
-		return D1(48), D1(32), func(b *Block) {
-			b.ForAll(func(th *Thread) {
-				th.Op(500)
-				th.StoreU32(out, b.LinearIdx*32+th.Linear, uint32(th.GlobalLinear()))
-			})
-		}
-	}
 	for _, tc := range []struct {
-		label string
-		trig  CrashTrigger
+		label  string
+		trig   CrashTrigger
+		blocks int
 	}{
-		{"after-blocks", CrashTrigger{AfterBlocks: 17}},
+		{"after-blocks", CrashTrigger{AfterBlocks: 17}, 17},
 		// With 2-cycle dispatch skew and more slots than blocks, block k
 		// starts at cycle 2k; AtCycle 40 interrupts at the 21st block.
-		{"at-cycle", CrashTrigger{AtCycle: 40}},
+		{"at-cycle", CrashTrigger{AtCycle: 40}, 20},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
-			run := func(w int) (LaunchResult, int32, memsim.Stats) {
-				dev, mem := newParTestSystem(w)
-				var fired int32
+			out := runAloneAndConcurrently(t, func() (o launchOutcome) {
+				dev, mem := newParTestSystem(&o)
+				fired := uint64(0)
 				trig := tc.trig
-				trig.Fire = func(d *Device) { atomic.AddInt32(&fired, 1); d.Mem().Crash() }
+				trig.Fire = func(d *Device) { fired++; d.Mem().Crash() }
 				dev.SetCrashTrigger(&trig)
-				grid, blk, kernel := mkSetup(dev)
-				res := dev.Launch("crash", grid, blk, kernel)
-				return res, atomic.LoadInt32(&fired), mem.Stats()
+				buf := dev.Alloc("out", 64*1024)
+				o.res = dev.Launch("crash", D1(48), D1(32), func(b *Block) {
+					b.ForAll(func(th *Thread) {
+						th.Op(500)
+						th.StoreU32(buf, b.LinearIdx*32+th.Linear, uint32(th.GlobalLinear()))
+					})
+				})
+				o.stats, o.nvm, o.probe = mem.Stats(), mem.NVMImage(), []uint64{fired}
+				return o
+			})
+			if !out.res.Interrupted || out.probe[0] != 1 {
+				t.Fatalf("crash did not fire exactly once (res=%+v fired=%d)", out.res, out.probe[0])
 			}
-			sres, sfired, sstats := run(1)
-			pres, pfired, pstats := run(8)
-			if !sres.Interrupted || sfired != 1 {
-				t.Fatalf("serial crash did not fire (res=%+v fired=%d)", sres, sfired)
-			}
-			if sres != pres || pfired != 1 {
-				t.Errorf("crash behaviour diverged\nserial:   %+v (fired %d)\nparallel: %+v (fired %d)", sres, sfired, pres, pfired)
-			}
-			if !reflect.DeepEqual(sstats, pstats) {
-				t.Errorf("post-crash memory stats diverged\nserial:   %+v\nparallel: %+v", sstats, pstats)
+			if out.res.Blocks != tc.blocks {
+				t.Fatalf("crash retired %d blocks, want %d", out.res.Blocks, tc.blocks)
 			}
 		})
 	}
 }
 
-// TestParallelLaunchSelected checks the recovery primitive (selected
-// block lists, including non-monotone orders) under the pool.
+// TestParallelLaunchSelected checks the recovery primitive with a
+// non-monotone selected block list: only the listed blocks run.
 func TestParallelLaunchSelected(t *testing.T) {
 	selected := []int{11, 3, 7, 0, 14, 2}
-	run := func(w int) (LaunchResult, memsim.Stats) {
-		dev, mem := newParTestSystem(w)
-		out := dev.Alloc("out", 64*1024)
-		grid, blk := D1(16), D1(32)
-		kernel := func(b *Block) {
+	out := runAloneAndConcurrently(t, func() (o launchOutcome) {
+		dev, mem := newParTestSystem(&o)
+		buf := dev.Alloc("out", 64*1024)
+		o.res = dev.LaunchSelected("sel", D1(16), D1(32), func(b *Block) {
 			b.ForAll(func(th *Thread) {
-				th.StoreU32(out, b.LinearIdx*32+th.Linear, uint32(b.LinearIdx))
+				th.StoreU32(buf, b.LinearIdx*32+th.Linear, uint32(b.LinearIdx)+1)
 			})
+		}, selected)
+		for blk := 0; blk < 16; blk++ {
+			o.probe = append(o.probe, uint64(buf.PeekU32(blk*32)))
 		}
-		res := dev.LaunchSelected("sel", grid, blk, kernel, selected)
-		return res, mem.Stats()
+		o.stats, o.nvm = mem.Stats(), mem.NVMImage()
+		return o
+	})
+	if out.res.Blocks != len(selected) {
+		t.Fatalf("selected launch ran %d blocks, want %d", out.res.Blocks, len(selected))
 	}
-	sres, sstats := run(1)
-	pres, pstats := run(8)
-	if sres != pres {
-		t.Errorf("selected launch diverged\nserial:   %+v\nparallel: %+v", sres, pres)
+	ran := map[int]bool{}
+	for _, blk := range selected {
+		ran[blk] = true
 	}
-	if !reflect.DeepEqual(sstats, pstats) {
-		t.Errorf("selected launch stats diverged")
-	}
-}
-
-// TestParallelSpecPanicReexec verifies that a panic during speculation
-// (from stale state) is absorbed and the block re-executes cleanly, while
-// a panic that also occurs during direct execution still surfaces.
-func TestParallelSpecPanicReexec(t *testing.T) {
-	// Block 1 indexes a region by a value block 0 writes; under
-	// speculation it reads the stale initial value, producing an
-	// out-of-range index that panics mid-speculation. At commit time the
-	// re-execution sees block 0's write and stays in range.
-	run := func(w int) LaunchResult {
-		dev, _ := newParTestSystem(w)
-		idx := dev.Alloc("idx", 64)
-		out := dev.Alloc("out", 8)
-		dev.Mem().HostWrite(idx.Base, []byte{0xff, 0xff, 0xff, 0x7f}) // huge stale index
-		return dev.Launch("specpanic", D1(2), D1(1), func(b *Block) {
-			b.ForAll(func(th *Thread) {
-				if b.LinearIdx == 0 {
-					th.StoreU32(idx, 0, 1)
-				} else {
-					i := th.LoadU32(idx, 0)
-					th.StoreU32(out, int(i)-1, 7)
-				}
-			})
-		})
-	}
-	sres := run(1)
-	pres := run(8)
-	if sres != pres {
-		t.Errorf("spec-panic launch diverged\nserial:   %+v\nparallel: %+v", sres, pres)
+	for blk, v := range out.probe {
+		if want := map[bool]uint64{true: uint64(blk) + 1}[ran[blk]]; v != want {
+			t.Errorf("block %d wrote %d, want %d", blk, v, want)
+		}
 	}
 }
 
-// TestParallelBlockHooks checks per-block store hooks and OnCommit/Staged
-// staging under the pool: per-block side effects must apply exactly once,
-// in dispatch order.
+// TestParallelBlockHooks checks per-block store hooks: each block's hook
+// sees exactly that block's stores, and the merged stream follows
+// dispatch order.
 func TestParallelBlockHooks(t *testing.T) {
-	run := func(w int) (hookBits []uint32, commits []int, res LaunchResult) {
-		dev, _ := newParTestSystem(w)
-		out := dev.Alloc("out", 64*1024)
-		grid, blk := D1(12), D1(32)
-		res = dev.Launch("hooks", grid, blk, func(b *Block) {
-			var local []uint32
+	out := runAloneAndConcurrently(t, func() (o launchOutcome) {
+		dev, mem := newParTestSystem(&o)
+		buf := dev.Alloc("out", 64*1024)
+		o.res = dev.Launch("hooks", D1(12), D1(32), func(b *Block) {
+			var local []uint64
 			b.SetStoreHook(func(th *Thread, r memsim.Region, elemIdx int, bits uint32) {
-				local = append(local, bits)
+				local = append(local, uint64(bits))
 			})
 			b.ForAll(func(th *Thread) {
-				th.StoreU32(out, b.LinearIdx*32+th.Linear, uint32(b.LinearIdx*1000+th.Linear))
+				th.StoreU32(buf, b.LinearIdx*32+th.Linear, uint32(b.LinearIdx*1000+th.Linear))
 			})
-			b.OnCommit(func() {
-				hookBits = append(hookBits, local...)
-				commits = append(commits, b.LinearIdx)
-			})
+			o.probe = append(o.probe, local...)
 		})
-		return
+		o.stats, o.nvm = mem.Stats(), mem.NVMImage()
+		return o
+	})
+	if len(out.probe) != 12*32 {
+		t.Fatalf("hooks observed %d stores, want %d", len(out.probe), 12*32)
 	}
-	sBits, sCommits, sres := run(1)
-	pBits, pCommits, pres := run(8)
-	if sres != pres {
-		t.Errorf("hook launch diverged\nserial:   %+v\nparallel: %+v", sres, pres)
-	}
-	if !reflect.DeepEqual(sBits, pBits) {
-		t.Errorf("hooked store streams diverged (serial %d values, parallel %d)", len(sBits), len(pBits))
-	}
-	if !reflect.DeepEqual(sCommits, pCommits) {
-		t.Errorf("commit order diverged: serial %v, parallel %v", sCommits, pCommits)
-	}
-}
-
-// TestPhaseCostMatchesSerialHelpers pins the pure timing helpers to the
-// serial engine's arithmetic (a change to one without the other would
-// silently break replay determinism).
-func TestPhaseCostMatchesSerialHelpers(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, nw := range []int{1, 2, 7, 32, 64} {
-		got := barrierCostFor(cfg, nw)
-		want := int64(4 * nw)
-		if want > cfg.BarrierCycles {
-			want = cfg.BarrierCycles
-		}
-		if got != want {
-			t.Errorf("barrierCostFor(%d) = %d, want %d", nw, got, want)
-		}
-	}
-	cases := []struct{ wi, l2, nvm int64 }{
-		{0, 0, 0}, {1000, 0, 0}, {10, 50000, 10}, {10, 10, 90000}, {12345, 6789, 4242},
-	}
-	for _, c := range cases {
-		compute := int64(float64(c.wi) / cfg.IssueWidth)
-		l2Cyc := int64(float64(c.l2) / (cfg.L2BytesPerCycle / float64(cfg.NumSMs)))
-		nvmCyc := int64(float64(c.nvm) / (cfg.NVMBytesPerCycle / float64(cfg.NumSMs)))
-		want := compute
-		if l2Cyc > want {
-			want = l2Cyc
-		}
-		if nvmCyc > want {
-			want = nvmCyc
-		}
-		if got := phaseCost(cfg, c.wi, c.l2, c.nvm); got != want {
-			t.Errorf("phaseCost(%+v) = %d, want %d", c, got, want)
+	for i, v := range out.probe {
+		if want := uint64(i/32*1000 + i%32); v != want {
+			t.Fatalf("hooked store %d = %d, want %d", i, v, want)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func (e *eventLog) record(ev PersistEvent) {
 }
 
 // TestPropertyDirtyBitmap drives twin memories through the same seeded
-// mix of cache, flush, host-write, crash and snapshot operations, with
+// mix of cache, flush, host-write, crash and dirty-count operations, with
 // the media fault process and a planted dropped write-back armed. The
 // twin takes PartialCrash through refPartialCrash; both must stay
 // byte-identical in NVM image and persist-event stream, and after every
@@ -109,7 +109,6 @@ func runDirtyBitmapProperty(t *testing.T, cfg Config, seed int64) {
 	}
 	words := data[0].Size / 8
 	rng := rand.New(rand.NewSource(seed))
-	snapActive := false
 	for step := 0; step < 3000; step++ {
 		op := rng.Intn(100)
 		idx := rng.Intn(words)
@@ -161,24 +160,8 @@ func runDirtyBitmapProperty(t *testing.T, cfg Config, seed int64) {
 					refPartialCrash(m, rand.New(rand.NewSource(crashSeed)), p)
 				}
 			case op < 98:
-				if snapActive {
-					m.EndSnapshot()
-					continue
-				}
-				want := bruteDirty(m)
-				s := m.BeginSnapshot()
-				n := 0
-				for k := range s.stripes {
-					n += len(s.stripes[k].cow)
-				}
-				if n != len(want) {
-					t.Fatalf("step %d: snapshot copied %d lines, brute-force scan finds %d dirty", step, n, len(want))
-				}
-				for _, tag := range want {
-					cp := s.stripeOf(tag).cow[tag]
-					if l := m.lookupLine(m.setIndex(tag), tag); cp == nil || !bytes.Equal(cp, l.data) {
-						t.Fatalf("step %d: snapshot lacks dirty line %#x", step, tag)
-					}
+				if n, want := m.DirtyLines(), len(bruteDirty(m)); n != want {
+					t.Fatalf("step %d: DirtyLines = %d, brute-force scan finds %d", step, n, want)
 				}
 			default:
 				m.PlantDropWriteBack(1 + arg)
@@ -186,9 +169,6 @@ func runDirtyBitmapProperty(t *testing.T, cfg Config, seed int64) {
 			if err := checkDirtyInvariant(m); err != nil {
 				t.Fatalf("step %d (op %d) memory %d: %v", step, op, i, err)
 			}
-		}
-		if op >= 91 && op < 98 {
-			snapActive = !snapActive
 		}
 		if !bytes.Equal(mems[0].NVMImage(), mems[1].NVMImage()) {
 			t.Fatalf("step %d (op %d): NVM images diverge from the brute-force reference", step, op)

@@ -212,11 +212,10 @@ func TestPeekViewsConvergeAfterCrash(t *testing.T) {
 	}
 }
 
-// TestRestoreNVMSnapshotFrozen is the regression test for the violation
-// lpvet's persistbarrier pass found in RestoreNVM: it copied the rollback
-// image into the durable array directly, so a live copy-on-write snapshot
-// — whose lazy capture relies on every mutation routing through
-// mutateNVM — saw the restored bytes bleed into its "frozen" view.
+// TestRestoreNVMSnapshotFrozen: RestoreNVM copies the checkpoint into
+// the durable image through the durable write path rather than adopting
+// the caller's slice, so write-backs after the restore leave the
+// checkpoint as captured.
 func TestRestoreNVMSnapshotFrozen(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
@@ -225,56 +224,54 @@ func TestRestoreNVMSnapshotFrozen(t *testing.T) {
 	}
 	m.FlushAll()
 	ckpt := m.SnapshotNVM() // rollback image: elements i+7
+	frozen := bytes.Clone(ckpt)
 
 	for i := 0; i < 64; i++ {
 		r.StoreU32(AccessData, i, 0xcafe0000+uint32(i))
 	}
 	m.FlushAll() // durable image now holds the cafe values, all lines clean
 
-	s := m.BeginSnapshot()
-	frozen := make([]byte, r.Size)
-	for i := 0; i < 64; i++ {
-		s.read(r.Base+uint64(4*i), frozen[4*i:4*i+4])
-	}
-
-	m.RestoreNVM(ckpt) // mid-snapshot rollback
-
-	for i := 0; i < 64; i++ {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != 0xcafe0000+uint32(i) {
-			t.Fatalf("snapshot leaked restore at element %d: read %#x, want frozen %#x",
-				i, got, 0xcafe0000+uint32(i))
-		}
-	}
-	m.EndSnapshot()
-
+	m.RestoreNVM(ckpt)
 	if got := r.NVMU32(0); got != 7 {
 		t.Errorf("durable image after restore = %#x, want rolled-back %#x", got, 7)
 	}
-	_ = frozen
+	if got := r.PeekU32(0); got != 7 {
+		t.Errorf("coherent view after restore = %#x, want rolled-back %#x", got, 7)
+	}
+
+	for i := 0; i < 64; i++ {
+		r.StoreU32(AccessData, i, 0xbeef0000+uint32(i))
+	}
+	m.FlushAll()
+	if !bytes.Equal(ckpt, frozen) {
+		t.Fatal("write-backs after the restore leaked into the checkpoint")
+	}
 }
 
 // TestRestoreNVMSnapshotGrownImage covers the backing-array growth path:
 // restoring an image larger than the current durable array replaces the
-// array, and the active snapshot must keep reading its own (old) one.
+// array with a fresh one of the image's size, and later write-backs must
+// not reach the caller's image.
 func TestRestoreNVMSnapshotGrownImage(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 128)
 	r.HostFillU64(0x2222222222222222)
-
-	s := m.BeginSnapshot()
 
 	big := make([]byte, len(m.NVMImage())+4096)
 	for i := range big {
 		big[i] = 0x5a
 	}
 	m.RestoreNVM(big)
-
-	if got := s.ReadU64(r.Base); got != 0x2222222222222222 {
-		t.Errorf("snapshot leaked grown restore: read %#x, want frozen %#x",
-			got, uint64(0x2222222222222222))
+	if got := len(m.NVMImage()); got != len(big) {
+		t.Fatalf("durable image after grown restore is %d bytes, want %d", got, len(big))
 	}
-	m.EndSnapshot()
 	if got := m.PeekNVM(r.Base, 1); got[0] != 0x5a {
 		t.Errorf("durable image after grown restore = %#x, want 0x5a", got[0])
+	}
+
+	r.StoreU64(AccessData, 0, 0x3333333333333333)
+	m.FlushAll()
+	if got := ImageU64(big, r.Base); got != 0x5a5a5a5a5a5a5a5a {
+		t.Errorf("write-back after grown restore reached the caller's image: %#x", got)
 	}
 }

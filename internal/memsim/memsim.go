@@ -11,15 +11,11 @@
 // to have been written back — which is the failure model Lazy Persistency
 // is designed to detect and recover from.
 //
-// All mutating entry points remain single-goroutine: the GPU simulator
-// that drives them is a deterministic discrete-event engine whose commit
-// loop owns the hierarchy, and determinism is a feature (experiments are
-// reproducible bit-for-bit). For host-parallel execution the package adds
-// one concurrency-safe read path: BeginSnapshot freezes the coherent view
-// behind address-striped copy-on-write locks, letting worker goroutines
-// read a stable image (Snapshot.ReadU32/ReadU64) while the owning
-// goroutine keeps mutating the live hierarchy. Use one Memory per
-// simulated device.
+// A Memory is single-goroutine: the GPU simulator that drives it runs
+// thread blocks one at a time in dispatch order, and determinism is a
+// feature (experiments are reproducible bit-for-bit). Host parallelism
+// lives above the simulator, one Memory per simulated device per
+// goroutine.
 package memsim
 
 import (
@@ -172,7 +168,6 @@ type Memory struct {
 	next    uint64 // allocation cursor
 	regions []Region
 	stats   Stats
-	snap    *Snapshot // active copy-on-write snapshot, nil when inactive
 
 	// maybeDirty has bit i set when set i may hold a dirty line. Every
 	// dirty line's set is marked; a marked set need not hold one (an
@@ -348,6 +343,20 @@ func (m *Memory) ensureNVM(lineAddr uint64) {
 	}
 }
 
+// mutateNVMLine overwrites the durable line at lineAddr with data. It
+// and mutateNVM are the durable write path: every change to the NVM
+// array goes through one of them (lpvet's persistbarrier pass enforces
+// this), so durable mutations stay auditable in one place.
+func (m *Memory) mutateNVMLine(lineAddr uint64, data []byte) {
+	copy(m.nvm[lineAddr:lineAddr+uint64(m.cfg.LineSize)], data)
+}
+
+// mutateNVM is mutateNVMLine for an arbitrary (possibly unaligned,
+// multi-line) byte range.
+func (m *Memory) mutateNVM(addr uint64, buf []byte) {
+	copy(m.nvm[addr:], buf)
+}
+
 func (m *Memory) writeBack(l *line) {
 	m.ensureNVM(l.tag)
 	data := l.data
@@ -516,44 +525,9 @@ func (m *Memory) PeekCoherent(addr uint64, size int) []byte {
 	return out
 }
 
-// PeekCoherentU32 reads the current logical 32-bit value at addr without
-// touching statistics, cache state, or the heap. addr must be 4-aligned.
-// It is the primitive behind speculative-trace validation in gpusim, where
-// a per-word PeekCoherent allocation would dominate the commit path.
-func (m *Memory) PeekCoherentU32(addr uint64) uint32 {
-	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			return binary.LittleEndian.Uint32(l.data[addr-lineAddr:])
-		}
-	}
-	if int(addr)+4 > len(m.nvm) {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(m.nvm[addr:])
-}
-
-// PeekCoherentU64 is PeekCoherentU32 for an 8-aligned 64-bit word.
-func (m *Memory) PeekCoherentU64(addr uint64) uint64 {
-	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			return binary.LittleEndian.Uint64(l.data[addr-lineAddr:])
-		}
-	}
-	if int(addr)+8 > len(m.nvm) {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(m.nvm[addr:])
-}
-
 // NVMImage returns a copy of the full durable image — what a post-crash
 // reader would see across every allocation. Determinism tests compare
-// these images bit-for-bit across engine configurations.
+// these images bit-for-bit across reruns and host fan-out widths.
 func (m *Memory) NVMImage() []byte {
 	out := make([]byte, len(m.nvm))
 	copy(out, m.nvm)

@@ -6,32 +6,32 @@ import (
 	"testing"
 )
 
-// TestBitFlipUnderSnapshotFrozen is the regression test for the
-// snapshot × fault-injection interaction: a media bit flip landing on a
-// line the snapshot has NOT copy-on-write-shadowed (clean or uncached)
-// used to write the shared backing array directly, so the "frozen"
-// coherent view leaked the flip. The flip must surface only to durable
-// readers; the snapshot must keep presenting pre-flip bytes.
+// TestBitFlipUnderSnapshotFrozen: a media bit flip after SnapshotNVM
+// lands in the durable image only. The checkpoint is a copy and keeps the
+// pre-flip byte, and the cached copy of the line keeps its coherent
+// value until a crash drops it.
 func TestBitFlipUnderSnapshotFrozen(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
 	for i := 0; i < 64; i++ {
 		r.StoreU32(AccessData, i, uint32(i)+100)
 	}
-	m.FlushAll() // every line clean and durable — no eager COW copies
-	s := m.BeginSnapshot()
+	m.FlushAll() // every line clean and durable
+	snap := m.SnapshotNVM()
 
 	addr := r.Base + 4*7 // element 7
-	before := s.ReadU32(addr)
+	before := ImageU32(snap, addr)
 	m.FlipBit(addr, 3)
 
-	if got := s.ReadU32(addr); got != before {
+	if got := ImageU32(snap, addr); got != before {
 		t.Errorf("snapshot leaked bit flip: read %#x, want frozen %#x", got, before)
 	}
 	if got := r.NVMU32(7); got != before^(1<<3) {
 		t.Errorf("durable image missing flip: read %#x, want %#x", got, before^(1<<3))
 	}
-	m.EndSnapshot()
+	if got := r.PeekU32(7); got != before {
+		t.Errorf("cached line saw the media flip: read %#x, want %#x", got, before)
+	}
 
 	// After a crash the flip is what post-crash readers load.
 	m.Crash()
@@ -40,56 +40,57 @@ func TestBitFlipUnderSnapshotFrozen(t *testing.T) {
 	}
 }
 
-// TestBitFlipUnderSnapshotDirtyLine covers the COW-shadowed case: the
-// line was dirty at BeginSnapshot (eagerly copied with its coherent
-// value), then flushed and hit by a flip. The snapshot must present the
-// original coherent value throughout.
+// TestBitFlipUnderSnapshotDirtyLine: the line was dirty when the durable
+// image was captured, so the checkpoint holds its old durable bytes; a
+// later flush and flip change only the live durable image.
 func TestBitFlipUnderSnapshotDirtyLine(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
 	r.StoreU32(AccessData, 0, 0xdeadbeef) // dirty, not yet durable
-	s := m.BeginSnapshot()
+	snap := m.SnapshotNVM()
 
 	m.FlushAll()
 	m.FlipBit(r.Base, 0)
 
-	if got := s.ReadU32(r.Base); got != 0xdeadbeef {
-		t.Errorf("snapshot of dirty line = %#x, want frozen %#x", got, 0xdeadbeef)
+	if got := ImageU32(snap, r.Base); got != 0 {
+		t.Errorf("snapshot of dirty line = %#x, want its pre-flush durable 0", got)
 	}
 	if got := r.NVMU32(0); got != 0xdeadbeef^1 {
 		t.Errorf("durable image = %#x, want flushed-then-flipped %#x", got, 0xdeadbeef^1)
 	}
-	m.EndSnapshot()
+	if got := r.PeekU32(0); got != 0xdeadbeef {
+		t.Errorf("coherent view = %#x, want the stored %#x", got, 0xdeadbeef)
+	}
 }
 
 // TestTornWriteBackUnderSnapshotFrozen: torn write-backs mutate the
-// durable array mid-snapshot and must likewise stay invisible to the
-// frozen view.
+// durable array after the checkpoint and must leave the checkpoint as
+// captured.
 func TestTornWriteBackUnderSnapshotFrozen(t *testing.T) {
 	m := MustNew(tinyConfig())
 	r := m.Alloc("data", 256)
 	for i := 0; i < 64; i++ {
 		r.StoreU32(AccessData, i, uint32(i)*2654435761+1)
 	}
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i], _ = r.LoadU32(AccessData, i)
+	snap := m.SnapshotNVM()
+	frozen := bytes.Clone(snap)
+	rep := m.PartialCrash(rand.New(rand.NewSource(7)), CrashProfile{EvictFrac: 1, TornFrac: 1})
+	if rep.Torn == 0 {
+		t.Fatal("no torn write-back happened — test exercised no tear path")
 	}
-	s := m.BeginSnapshot()
-	m.PartialCrash(rand.New(rand.NewSource(7)), CrashProfile{EvictFrac: 1, TornFrac: 1})
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after torn write-backs, want frozen %#x", i, got, want[i])
-		}
+	if !bytes.Equal(snap, frozen) {
+		t.Fatal("torn write-backs leaked into the checkpoint")
 	}
-	m.EndSnapshot()
+	if bytes.Equal(m.NVMImage()[:len(snap)], snap) {
+		t.Fatal("torn write-backs left the durable image unchanged")
+	}
 }
 
-// TestFaultProcessUnderSnapshotFrozen extends the snapshot × fault
-// regression to the online media-error model: write-backs whose bytes are
+// TestFaultProcessUnderSnapshotFrozen extends the checkpoint × fault
+// check to the online media-error model: write-backs whose bytes are
 // perturbed by the seeded fault process (transient flips, fresh stuck-at
-// cells) mutate the durable array mid-snapshot and must stay invisible to
-// the frozen view.
+// cells) mutate the durable array and must leave the checkpoint as
+// captured.
 func TestFaultProcessUnderSnapshotFrozen(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Fault = FaultConfig{Enabled: true, Seed: 11, TransientPerWrite: 1, StuckPerWrite: 0.5}
@@ -99,32 +100,26 @@ func TestFaultProcessUnderSnapshotFrozen(t *testing.T) {
 		r.StoreU32(AccessData, i, uint32(i)+7)
 	}
 	m.FlushAll() // faulted bytes land durably; coherent view unaffected
-	s := m.BeginSnapshot()
+	snap := m.SnapshotNVM()
+	frozen := bytes.Clone(snap)
 
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i] = s.ReadU32(r.Base + uint64(4*i))
-	}
-	// Dirty every line again and force faulted write-backs under the live
-	// snapshot.
+	// Dirty every line again and force faulted write-backs after the
+	// checkpoint.
 	for i := 0; i < 64; i++ {
 		r.StoreU32(AccessData, i, uint32(i)*2654435761)
 	}
 	m.FlushAll()
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after faulted write-backs, want frozen %#x", i, got, want[i])
-		}
+	if !bytes.Equal(snap, frozen) {
+		t.Fatal("faulted write-backs leaked into the checkpoint")
 	}
 	if st := m.MediaStats(); st.Transient == 0 {
 		t.Fatal("fault process injected nothing — test exercised no fault path")
 	}
-	m.EndSnapshot()
 }
 
 // TestScrubAndStuckAtUnderSnapshotFrozen: scrub rewrites and planted
-// stuck-at forcings route through the COW paths too, so a live snapshot
-// must not observe them either.
+// stuck-at forcings go through the durable write path, so they change
+// the live durable image but not a checkpoint taken before them.
 func TestScrubAndStuckAtUnderSnapshotFrozen(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Fault = FaultConfig{Enabled: true, Seed: 3, TransientPerWrite: 1}
@@ -134,25 +129,19 @@ func TestScrubAndStuckAtUnderSnapshotFrozen(t *testing.T) {
 		r.StoreU32(AccessData, i, 0x5a5a0000+uint32(i))
 	}
 	m.FlushAll() // every line now carries one transient flip
-	s := m.BeginSnapshot()
+	snap := m.SnapshotNVM()
+	frozen := bytes.Clone(snap)
 
-	want := make([]uint32, 64)
-	for i := range want {
-		want[i] = s.ReadU32(r.Base + uint64(4*i))
-	}
-	rep := m.Scrub() // heals the flips — durably, under the snapshot
+	rep := m.Scrub() // heals the flips durably
 	if rep.Healed == 0 {
 		t.Fatal("scrub healed nothing — test exercised no repair path")
 	}
 	m.PlantStuckAt(r.Base+5, 6, 1) // forces a durable byte immediately
-	for i := range want {
-		if got := s.ReadU32(r.Base + uint64(4*i)); got != want[i] {
-			t.Fatalf("snapshot[%d] = %#x after scrub/plant, want frozen %#x", i, got, want[i])
-		}
+	if !bytes.Equal(snap, frozen) {
+		t.Fatal("scrub or stuck-at planting leaked into the checkpoint")
 	}
-	m.EndSnapshot()
 
-	// Post-snapshot, durable readers see the healed + pinned bytes: word 1
+	// Durable readers see the healed + pinned bytes: word 1
 	// holds the healed value plus the stuck-at bit (byte 5, bit 6 — bit 14
 	// of the word).
 	m.Crash()

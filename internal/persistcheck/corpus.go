@@ -15,11 +15,10 @@ import (
 
 // Repro families.
 const (
-	FamilyMemOps      = "memops"
-	FamilyKernel      = "kernel"
-	FamilyDiffWorkers = "diff-workers"
-	FamilyDiffStores  = "diff-stores"
-	FamilyDiffModels  = "diff-models"
+	FamilyMemOps     = "memops"
+	FamilyKernel     = "kernel"
+	FamilyDiffStores = "diff-stores"
+	FamilyDiffModels = "diff-models"
 	// FamilyDiffEP is the legacy name of the model differential; old
 	// reproducers replay through FamilyDiffModels' check.
 	FamilyDiffEP = "diff-ep"
@@ -35,8 +34,6 @@ type Repro struct {
 	MemOps *MemOpsScenario `json:"memops,omitempty"`
 	Kernel *KernelScenario `json:"kernel,omitempty"`
 	Scrub  *ScrubScenario  `json:"scrub,omitempty"`
-	// DiffWorkers is the parallel width for the diff-workers family.
-	DiffWorkers int `json:"diff_workers,omitempty"`
 }
 
 const reproVersion = 1
@@ -68,15 +65,13 @@ func (c *Checker) RunRepro(r Repro) error {
 			return fmt.Errorf("persistcheck: %s repro has no scrub scenario", r.Family)
 		}
 		return c.RunScrub(*r.Scrub)
-	case FamilyKernel, FamilyDiffWorkers, FamilyDiffStores, FamilyDiffModels, FamilyDiffEP:
+	case FamilyKernel, FamilyDiffStores, FamilyDiffModels, FamilyDiffEP:
 		if r.Kernel == nil {
 			return fmt.Errorf("persistcheck: %s repro has no kernel scenario", r.Family)
 		}
 		switch r.Family {
 		case FamilyKernel:
 			return c.RunKernel(*r.Kernel)
-		case FamilyDiffWorkers:
-			return c.RunDiffWorkers(*r.Kernel, r.DiffWorkers)
 		case FamilyDiffStores:
 			return c.RunDiffStores(*r.Kernel)
 		default:

@@ -1,6 +1,7 @@
 package persistcheck
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -89,6 +90,27 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
+// TestRetiredDiffWorkersFamilyRejected: the diff-workers family compared
+// speculative and serial block execution, and the speculative engine is
+// gone. An old reproducer must fail loudly with the unknown-family error
+// instead of replaying as a silent pass.
+func TestRetiredDiffWorkersFamilyRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "diff-tmm-workers.json")
+	doc := `{"version": 1, "family": "diff-workers", "diff_workers": 4,
+  "kernel": {"kernel": "tmm", "backend": "global-array", "fault": "mid-kernel", "seed": 13}}`
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := LoadRepro(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = NewChecker().RunRepro(r)
+	if err == nil || !strings.Contains(err.Error(), `unknown repro family "diff-workers"`) {
+		t.Fatalf("diff-workers repro: err = %v, want the unknown-family error", err)
+	}
+}
+
 // TestMemOpsDeterministic: replaying the same generated scenario twice
 // must agree — the foundation every corpus entry rests on.
 func TestMemOpsDeterministic(t *testing.T) {
@@ -152,11 +174,6 @@ func TestDifferentials(t *testing.T) {
 		t.Skip("multi-variant kernel runs")
 	}
 	c := NewChecker()
-	base := KernelScenario{Kernel: "tmm", Backend: BackendGlobalArray,
-		Fault: faultsim.MidKernelCrash, Seed: 31}
-	if err := c.RunDiffWorkers(base, 4); err != nil {
-		t.Errorf("diff-workers: %v", err)
-	}
 	if err := c.RunDiffStores(KernelScenario{Kernel: "tmm",
 		Fault: faultsim.PartialEviction, Seed: 32}); err != nil {
 		t.Errorf("diff-stores: %v", err)

@@ -10,7 +10,7 @@ import (
 // report.go renders a serving run's outcome. Every field derives from
 // simulated cycles and seeded draws, so two runs of the same config
 // produce byte-identical reports — the root determinism suite pins
-// exactly that, across gpusim Workers settings.
+// exactly that, across reruns and host fan-out widths.
 
 // ClassReport is one SLO class's outcome.
 type ClassReport struct {

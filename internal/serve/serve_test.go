@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"gpulp/internal/parwork"
 	"gpulp/internal/pmodel"
 )
 
@@ -80,30 +81,43 @@ func TestRunEveryModel(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossWorkers is the package-level half of the
-// root determinism pin: the rendered report and the durable output
-// images must be byte-identical at Workers=1 and Workers=8, for every
-// model, and across same-seed reruns.
+// root determinism pin: for every model, the rendered report and the
+// durable output images must be byte-identical whether the runs execute
+// one at a time or fanned out across 8 host workers, and across
+// same-seed reruns.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	models := append([]string{"none"}, pmodel.Names()...)
-	for _, model := range models {
-		cfg := quickConfig()
-		cfg.Model = model
-		cfg.Dev.Workers = 1
-		serial := mustRun(t, cfg)
-		rerun := mustRun(t, cfg)
-		if serial.Report.String() != rerun.Report.String() {
+	runAll := func(workers int) []*RunResult {
+		out := make([]*RunResult, len(models))
+		errs := make([]error, len(models))
+		parwork.Do(len(models), workers, func(i int) {
+			cfg := quickConfig()
+			cfg.Model = models[i]
+			out[i], errs[i] = Run(cfg)
+		})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s (workers=%d): %v", models[i], workers, err)
+			}
+		}
+		return out
+	}
+	serial, rerun, parallel := runAll(1), runAll(1), runAll(8)
+	for i, model := range models {
+		if serial[i].Report.String() != rerun[i].Report.String() {
 			t.Fatalf("%s: same-seed reruns differ", model)
 		}
-		cfg.Dev.Workers = 8
-		parallel := mustRun(t, cfg)
-		if serial.Report.String() != parallel.Report.String() {
-			t.Fatalf("%s: Workers=1 vs 8 reports differ:\n%s\nvs\n%s",
-				model, serial.Report.String(), parallel.Report.String())
+		if serial[i].Report.String() != parallel[i].Report.String() {
+			t.Fatalf("%s: 1 vs 8 host workers reports differ:\n%s\nvs\n%s",
+				model, serial[i].Report.String(), parallel[i].Report.String())
 		}
-		so, po := serial.Outputs(), parallel.Outputs()
-		for i := range so {
-			if !bytes.Equal(so[i], po[i]) {
-				t.Fatalf("%s: durable output %d differs across Workers", model, i)
+		so, po := serial[i].Outputs(), parallel[i].Outputs()
+		if len(so) == 0 || len(so) != len(po) {
+			t.Fatalf("%s: output image count differs: %d vs %d", model, len(so), len(po))
+		}
+		for k := range so {
+			if !bytes.Equal(so[k], po[k]) {
+				t.Fatalf("%s: durable output %d differs across host workers", model, k)
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package gpulp_test
 
 // Determinism pin for the persistency-model zoo: every registered model
 // — crash, damage prediction, recovery, durable image — must be
-// bit-identical between the serial engine (Workers=1) and the parallel
-// engine (Workers=detWorkers). This is the contract that lets the
+// bit-identical whether the per-model runs execute one at a time or
+// fanned out detParallel wide. This is the contract that lets the
 // model-compare harness, the model fault campaigns, and persistcheck's
 // model scenarios run parallel without perturbing a single number.
 
@@ -28,12 +28,10 @@ type modelRun struct {
 	nvm       []byte
 }
 
-func runModelRecovery(t *testing.T, spec pmodel.Spec, workers int) modelRun {
+func runModelRecovery(t *testing.T, spec pmodel.Spec) modelRun {
 	t.Helper()
 	mem := memsim.MustNew(memsim.DefaultConfig())
-	devCfg := gpusim.DefaultConfig()
-	devCfg.Workers = workers
-	dev := gpusim.MustNew(devCfg, mem)
+	dev := gpusim.MustNew(gpusim.DefaultConfig(), mem)
 	w := kernels.New("tmm", 1)
 	w.Setup(dev)
 	grid, blk := w.Geometry()
@@ -46,31 +44,34 @@ func runModelRecovery(t *testing.T, spec pmodel.Spec, workers int) modelRun {
 		Fire: func(*gpusim.Device) { mem.Crash() }})
 	res := dev.Launch("tmm-"+spec.Name, grid, blk, m.Kernel())
 	if !res.Interrupted {
-		t.Fatalf("%s workers=%d: crash trigger did not fire", spec.Name, workers)
+		t.Errorf("%s: crash trigger did not fire", spec.Name)
 	}
 	predicted := m.PredictDamage(mem.SnapshotNVM())
 	rep, err := m.Recover()
 	if err != nil {
-		t.Fatalf("%s workers=%d: recovery failed: %v", spec.Name, workers, err)
+		t.Errorf("%s: recovery failed: %v", spec.Name, err)
 	}
 	if err := w.Verify(); err != nil {
-		t.Fatalf("%s workers=%d: post-recovery verify failed: %v", spec.Name, workers, err)
+		t.Errorf("%s: post-recovery verify failed: %v", spec.Name, err)
 	}
 	mem.FlushAll()
 	return modelRun{launch: res, predicted: predicted, report: rep, nvm: mem.NVMImage()}
 }
 
 // TestParallelDeterminismModels crashes TMM halfway through under every
-// registered persistency model with both engines and asserts identical
-// launch results, damage predictions, recovery reports, and
-// post-recovery durable images — and that each model's prediction names
-// exactly what its recovery repaired (the durable-state contract).
+// registered persistency model, one at a time and fanned out, and
+// asserts identical launch results, damage predictions, recovery
+// reports, and post-recovery durable images — and that each model's
+// prediction names exactly what its recovery repaired (the durable-state
+// contract).
 func TestParallelDeterminismModels(t *testing.T) {
-	for _, spec := range pmodel.Specs() {
-		spec := spec
+	specs := pmodel.Specs()
+	run := func(i int) modelRun { return runModelRecovery(t, specs[i]) }
+	serialRuns := fanOut(len(specs), 1, run)
+	parallelRuns := fanOut(len(specs), detParallel, run)
+	for k, spec := range specs {
 		t.Run(spec.Name, func(t *testing.T) {
-			serial := runModelRecovery(t, spec, 1)
-			parallel := runModelRecovery(t, spec, detWorkers)
+			serial, parallel := serialRuns[k], parallelRuns[k]
 			if serial.launch != parallel.launch {
 				t.Errorf("launch result diverged\nserial:   %+v\nparallel: %+v", serial.launch, parallel.launch)
 			}

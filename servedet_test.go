@@ -3,12 +3,11 @@ package gpulp_test
 // Determinism pin for the MEGA-KV serving layer: a full serving run —
 // seeded load generation, admission, batching, kernel launches, epoch
 // drains, latency accounting — must produce a byte-identical report and
-// byte-identical durable output images between the serial engine
-// (Workers=1) and the parallel engine (Workers=detWorkers), for every
-// registered persistency model and the bare baseline, and a host-
-// parallel sweep of seeds must match a serial sweep run for run. This is
-// the contract that lets the serve harness experiment and the lpfault
-// serve campaign fan out without perturbing a single number.
+// byte-identical durable output images whether runs execute one at a
+// time or fanned out on host goroutines, for every registered
+// persistency model and the bare baseline, and for a sweep of seeds.
+// This is the contract that lets the serve harness experiment and the
+// lpfault serve campaign fan out without perturbing a single number.
 
 import (
 	"bytes"
@@ -18,33 +17,40 @@ import (
 	"gpulp/internal/serve"
 )
 
-func runServing(t *testing.T, model string, seed uint64, workers int) *serve.RunResult {
+// runServing runs one serving config. It may run off the test
+// goroutine, so it reports with t.Errorf and returns nil on failure.
+func runServing(t *testing.T, model string, seed uint64) *serve.RunResult {
 	t.Helper()
 	cfg := serve.DefaultConfig()
 	cfg.HorizonCycles = 400_000
 	cfg.Model = model
 	cfg.Seed = seed
-	cfg.Dev.Workers = workers
 	r, err := serve.Run(cfg)
 	if err != nil {
-		t.Fatalf("serve %s seed=%d workers=%d: %v", model, seed, workers, err)
+		t.Errorf("serve %s seed=%d: %v", model, seed, err)
+		return nil
 	}
 	if err := r.VerifyLedger(); err != nil {
-		t.Fatalf("serve %s seed=%d workers=%d: %v", model, seed, workers, err)
+		t.Errorf("serve %s seed=%d: %v", model, seed, err)
 	}
 	return r
 }
 
 // TestServeDeterminism runs the serving loop under every registered
-// persistency model plus the bare baseline with both engines and asserts
-// byte-identical rendered reports and durable output images.
+// persistency model plus the bare baseline, one at a time and fanned
+// out, and asserts byte-identical rendered reports and durable output
+// images.
 func TestServeDeterminism(t *testing.T) {
 	models := append([]string{"none"}, pmodel.Names()...)
-	for _, model := range models {
-		model := model
+	run := func(i int) *serve.RunResult { return runServing(t, models[i], 1) }
+	serialRuns := fanOut(len(models), 1, run)
+	parallelRuns := fanOut(len(models), detParallel, run)
+	if t.Failed() {
+		t.FailNow()
+	}
+	for k, model := range models {
 		t.Run(model, func(t *testing.T) {
-			serial := runServing(t, model, 1, 1)
-			parallel := runServing(t, model, 1, detWorkers)
+			serial, parallel := serialRuns[k], parallelRuns[k]
 			if serial.Report.String() != parallel.Report.String() {
 				t.Errorf("report diverged\nserial:\n%s\nparallel:\n%s",
 					serial.Report.String(), parallel.Report.String())
@@ -55,7 +61,7 @@ func TestServeDeterminism(t *testing.T) {
 			}
 			for i := range so {
 				if !bytes.Equal(so[i], po[i]) {
-					t.Errorf("durable output %d diverged between engines", i)
+					t.Errorf("durable output %d diverged between one-at-a-time and fanned-out runs", i)
 				}
 			}
 		})
@@ -67,21 +73,14 @@ func TestServeDeterminism(t *testing.T) {
 // serving loop must not share state across concurrent runs.
 func TestServeDeterminismHostParallel(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
-	serial := make([]string, len(seeds))
-	for i, s := range seeds {
-		serial[i] = runServing(t, "lp", s, 1).Report.String()
+	run := func(i int) string {
+		if r := runServing(t, "lp", seeds[i]); r != nil {
+			return r.Report.String()
+		}
+		return ""
 	}
-	parallel := make([]string, len(seeds))
-	done := make(chan int, len(seeds))
-	for i, s := range seeds {
-		go func(i int, s uint64) {
-			parallel[i] = runServing(t, "lp", s, detWorkers).Report.String()
-			done <- i
-		}(i, s)
-	}
-	for range seeds {
-		<-done
-	}
+	serial := fanOut(len(seeds), 1, run)
+	parallel := fanOut(len(seeds), detParallel, run)
 	for i := range seeds {
 		if serial[i] != parallel[i] {
 			t.Errorf("seed %d: host-parallel sweep diverged from serial run", seeds[i])
@@ -89,7 +88,10 @@ func TestServeDeterminismHostParallel(t *testing.T) {
 	}
 }
 
-func runClusterServing(t *testing.T, workers int) *serve.ClusterRunResult {
+// runClusterServing serves from a 3-device cluster and fail-stops
+// failDevice during the second launch. It may run off the test
+// goroutine, so it reports with t.Errorf and returns nil on failure.
+func runClusterServing(t *testing.T, failDevice int) *serve.ClusterRunResult {
 	t.Helper()
 	cfg := serve.DefaultClusterConfig()
 	cfg.HorizonCycles = 400_000
@@ -97,40 +99,49 @@ func runClusterServing(t *testing.T, workers int) *serve.ClusterRunResult {
 	cfg.Model = "lp"
 	cfg.Seed = 7
 	cfg.FailAtLaunch = 2
-	cfg.FailDevice = 1
-	cfg.Dev.Workers = workers
+	cfg.FailDevice = failDevice
 	r, err := serve.RunCluster(cfg)
 	if err != nil {
-		t.Fatalf("cluster serve workers=%d: %v", workers, err)
+		t.Errorf("cluster serve fail-device=%d: %v", failDevice, err)
+		return nil
 	}
 	if err := r.VerifyLedger(); err != nil {
-		t.Fatalf("cluster serve workers=%d: %v", workers, err)
+		t.Errorf("cluster serve fail-device=%d: %v", failDevice, err)
 	}
-	if len(r.Report.DeadDevices) != 1 || r.Report.DeadDevices[0] != 1 {
-		t.Fatalf("cluster serve workers=%d: expected device 1 dead, got %v",
-			workers, r.Report.DeadDevices)
+	if len(r.Report.DeadDevices) != 1 || r.Report.DeadDevices[0] != failDevice {
+		t.Errorf("cluster serve fail-device=%d: expected only that device dead, got %v",
+			failDevice, r.Report.DeadDevices)
 	}
 	return r
 }
 
 // TestServeClusterDeterminism runs cluster-backed serving through a
 // mid-serving device loss — replicated batch launches, survivor
-// adoption, degraded-mode shedding — under both engine widths and
-// asserts byte-identical rendered reports and durable output images.
+// adoption, degraded-mode shedding — one at a time and fanned out, for
+// two failed devices, and asserts byte-identical rendered reports and
+// durable output images.
 func TestServeClusterDeterminism(t *testing.T) {
-	serial := runClusterServing(t, 1)
-	parallel := runClusterServing(t, detWorkers)
-	if serial.Report.String() != parallel.Report.String() {
-		t.Errorf("cluster report diverged\nserial:\n%s\nparallel:\n%s",
-			serial.Report.String(), parallel.Report.String())
+	failDevices := []int{1, 2}
+	run := func(i int) *serve.ClusterRunResult { return runClusterServing(t, failDevices[i]) }
+	serialRuns := fanOut(len(failDevices), 1, run)
+	parallelRuns := fanOut(len(failDevices), detParallel, run)
+	if t.Failed() {
+		t.FailNow()
 	}
-	so, po := serial.Outputs(), parallel.Outputs()
-	if len(so) == 0 || len(so) != len(po) {
-		t.Fatalf("output image count diverged: %d vs %d", len(so), len(po))
-	}
-	for i := range so {
-		if !bytes.Equal(so[i], po[i]) {
-			t.Errorf("durable output %d diverged between engines", i)
+	for k, dev := range failDevices {
+		serial, parallel := serialRuns[k], parallelRuns[k]
+		if serial.Report.String() != parallel.Report.String() {
+			t.Errorf("fail-device=%d: cluster report diverged\nserial:\n%s\nparallel:\n%s",
+				dev, serial.Report.String(), parallel.Report.String())
+		}
+		so, po := serial.Outputs(), parallel.Outputs()
+		if len(so) == 0 || len(so) != len(po) {
+			t.Fatalf("fail-device=%d: output image count diverged: %d vs %d", dev, len(so), len(po))
+		}
+		for i := range so {
+			if !bytes.Equal(so[i], po[i]) {
+				t.Errorf("fail-device=%d: durable output %d diverged", dev, i)
+			}
 		}
 	}
 }
