@@ -153,12 +153,14 @@ replica-soak:
 	$(GO) run ./cmd/lpbench -exp replicacompare -parallel 4
 	$(GO) run ./cmd/lpserve -devices 3 -fail-launch 2 -fail-device 1 -json > /dev/null
 
-# bench: regenerate every artifact benchmark and the memsim layer
-# micro-benchmarks (epoch flush, eviction sweep), then record the
-# serial-vs-parallel wall-clock comparison to BENCH_parallel.json.
+# bench: regenerate every artifact benchmark and the memsim and gpusim
+# layer micro-benchmarks (epoch flush, eviction sweep, ping-pong hits,
+# per-thread ForAll overhead), then record the serial-vs-parallel
+# wall-clock comparison to BENCH_parallel.json.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/memsim/
+	$(GO) test -bench=. -benchmem -run '^$$' ./internal/gpusim/
 	BENCH_JSON=BENCH_parallel.json $(GO) test -run '^TestWriteBenchParallelJSON$$' -v .
 
 # bench-check: the host-time benchmark's correctness gate — its own

@@ -84,3 +84,15 @@ func BenchmarkLockSerialization(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkForAllTinyBody measures ForAll's per-thread overhead: a
+// 3-D block whose threads each charge one instruction.
+func BenchmarkForAllTinyBody(b *testing.B) {
+	d := testDevice()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Launch("tiny", D1(8), D3(8, 8, 4), func(blk *Block) {
+			blk.ForAll(func(t *Thread) { t.Op(1) })
+		})
+	}
+}

@@ -155,25 +155,38 @@ func (b *Block) ForAll(fn func(t *Thread)) {
 	warpMax := make([]int64, nw)
 	var l2, nvm, aStall int64
 
+	// One Thread serves every thread of the block: only its position and
+	// counters change. lockHeld is nil after every body (checked below),
+	// and the other lock fields are read only while a lock is held.
+	t := &b.thread
+	t.b = b
+	var idx Dim3
+	wid, lane := 0, 0
 	for lin := 0; lin < nt; lin++ {
-		t := &b.thread
-		*t = Thread{
-			b:      b,
-			Idx:    b.BlockDim.Unlinear(lin),
-			Linear: lin,
-			WarpID: lin / ws,
-			Lane:   lin % ws,
-		}
+		t.Idx, t.Linear, t.WarpID, t.Lane = idx, lin, wid, lane
+		t.instrs, t.l2Bytes, t.nvmBytes, t.atomicStall = 0, 0, 0, 0
 		fn(t)
 		if t.lockHeld != nil {
 			panic("gpusim: thread exited phase while holding lock " + t.lockHeld.name)
 		}
-		if t.instrs > warpMax[t.WarpID] {
-			warpMax[t.WarpID] = t.instrs
+		if t.instrs > warpMax[wid] {
+			warpMax[wid] = t.instrs
 		}
 		l2 += t.l2Bytes
 		nvm += t.nvmBytes
 		aStall += t.atomicStall
+
+		if idx.X++; idx.X == b.BlockDim.X {
+			idx.X = 0
+			if idx.Y++; idx.Y == b.BlockDim.Y {
+				idx.Y = 0
+				idx.Z++
+			}
+		}
+		if lane++; lane == ws {
+			lane = 0
+			wid++
+		}
 	}
 
 	var warpInstrs int64

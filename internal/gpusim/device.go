@@ -179,8 +179,7 @@ type LaunchResult struct {
 	Aborted bool
 }
 
-// MS returns the launch duration in milliseconds (requires the config used
-// at launch; use Device.Config().CyclesToMS for exactness).
+// String implements fmt.Stringer.
 func (r LaunchResult) String() string {
 	return fmt.Sprintf("%s: %d blocks, %d cycles, %d warp-instrs, %dB L2, %dB NVM, stalls atomic=%d lock=%d",
 		r.Name, r.Blocks, r.Cycles, r.WarpInstrs, r.L2Bytes, r.NVMBytes, r.AtomicStallCycles, r.LockStallCycles)

@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gpulp/internal/memsim"
@@ -197,4 +199,80 @@ func TestRacyTouchCrossActorRace(t *testing.T) {
 	if races != 1 {
 		t.Errorf("second block should race with the first: races=%d", races)
 	}
+}
+
+// TestForAllThreadPositionAndCounters checks the position ForAll hands
+// each thread against Unlinear and the warp arithmetic, that every thread
+// starts with zeroed counters (thread k's Op(k) and Stall(k) must not
+// leak into thread k+1), and that a second phase restarts both.
+func TestForAllThreadPositionAndCounters(t *testing.T) {
+	for _, dim := range []Dim3{{5, 3, 2}, {33, 1, 1}, {32, 2, 1}} {
+		t.Run(fmt.Sprintf("%dx%dx%d", dim.X, dim.Y, dim.Z), func(t *testing.T) {
+			d := testDevice()
+			ws := d.Config().WarpSize
+			nt := dim.Size()
+			res := d.Launch("pos", D1(1), dim, func(b *Block) {
+				for phase := 0; phase < 2; phase++ {
+					next := 0
+					b.ForAll(func(th *Thread) {
+						if th.Linear != next {
+							t.Fatalf("phase %d: thread %d ran out of order (want %d)", phase, th.Linear, next)
+						}
+						next++
+						if th.Block() != b {
+							t.Fatalf("phase %d thread %d: Block() is not the running block", phase, th.Linear)
+						}
+						if want := dim.Unlinear(th.Linear); th.Idx != want {
+							t.Fatalf("phase %d thread %d: Idx = %v, want %v", phase, th.Linear, th.Idx, want)
+						}
+						if th.WarpID != th.Linear/ws || th.Lane != th.Linear%ws {
+							t.Fatalf("phase %d thread %d: warp %d lane %d, want %d %d",
+								phase, th.Linear, th.WarpID, th.Lane, th.Linear/ws, th.Linear%ws)
+						}
+						if th.instrs != 0 || th.l2Bytes != 0 || th.nvmBytes != 0 || th.atomicStall != 0 {
+							t.Fatalf("phase %d thread %d starts with counters instrs=%d l2=%d nvm=%d stall=%d",
+								phase, th.Linear, th.instrs, th.l2Bytes, th.nvmBytes, th.atomicStall)
+						}
+						th.Op(th.Linear)
+						th.Stall(int64(th.Linear))
+					})
+					if next != nt {
+						t.Fatalf("phase %d ran %d threads, want %d", phase, next, nt)
+					}
+				}
+			})
+			// A warp costs its slowest lane, the last one; stalls add up.
+			var warpInstrs, stall int64
+			for w := 0; w*ws < nt; w++ {
+				warpInstrs += int64(min(nt, (w+1)*ws) - 1)
+			}
+			for k := 0; k < nt; k++ {
+				stall += int64(k)
+			}
+			if res.WarpInstrs != 2*warpInstrs || res.AtomicStallCycles != 2*stall {
+				t.Fatalf("warp instrs %d, stall %d; want %d, %d", res.WarpInstrs, res.AtomicStallCycles, 2*warpInstrs, 2*stall)
+			}
+		})
+	}
+}
+
+// TestForAllPanicsOnLockHeldAtExit: a thread body that returns while
+// holding a lock is a kernel bug, reported by name.
+func TestForAllPanicsOnLockHeldAtExit(t *testing.T) {
+	d := testDevice()
+	l := d.NewLock("leaky")
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, `holding lock leaky`) {
+			t.Fatalf("panic = %v, want the lock-held-at-exit report", r)
+		}
+	}()
+	d.Launch("leak", D1(1), D3(5, 3, 2), func(b *Block) {
+		b.ForAll(func(th *Thread) {
+			if th.Linear == 7 {
+				th.LockAcquire(l)
+			}
+		})
+	})
+	t.Fatal("launch returned although a thread exited holding a lock")
 }

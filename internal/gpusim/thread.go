@@ -195,6 +195,7 @@ func (t *Thread) FlushLine(r memsim.Region, byteOff int) {
 	if t.b.dev.mem.FlushAddr(r.Base + uint64(byteOff)) {
 		t.nvmBytes += int64(t.b.dev.mem.LineSize())
 	}
+	t.wdCheck()
 }
 
 // PersistBarrier models an s_fence/persist barrier: the thread stalls

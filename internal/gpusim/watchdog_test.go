@@ -114,3 +114,52 @@ func TestWatchdogQuietOnHealthyKernel(t *testing.T) {
 		t.Fatalf("armed watchdog perturbed a healthy launch:\narmed    %+v\ndisarmed %+v", armed, disarmed)
 	}
 }
+
+// TestWatchdogAbortsFlushOnlyLivelock: a spin loop whose only charged
+// instruction is FlushLine (polling a host-side view, flushing while it
+// waits) must still be stopped by the watchdog, at the same instruction
+// on a rerun.
+func TestWatchdogAbortsFlushOnlyLivelock(t *testing.T) {
+	const budget = 5_000
+	run := func() (LaunchResult, []byte) {
+		dev, mem := wdDevice(t, budget)
+		flags := dev.Alloc("flags", 4*8)
+		flags.HostZero()
+		res := dev.Launch("flushspin", D1(4), D1(32), func(b *Block) {
+			b.ForAll(func(t *Thread) {
+				t.StoreU64(flags, b.LinearIdx, uint64(t.Linear))
+				if b.LinearIdx != 2 || t.Linear != 5 {
+					return
+				}
+				// Nothing ever sets the word this thread waits for.
+				for flags.PeekU64(3) != 1 {
+					t.FlushLine(flags, 2*8)
+				}
+			})
+		})
+		return res, mem.NVMImage()
+	}
+
+	res, img := run()
+	if !res.Interrupted || res.Watchdog == nil {
+		t.Fatalf("flush-only livelock not aborted: %+v", res)
+	}
+	if !errors.Is(res.Watchdog, ErrWatchdog) {
+		t.Fatalf("abort %v does not wrap ErrWatchdog", res.Watchdog)
+	}
+	want := WatchdogError{Kernel: "flushspin", Block: 2, Thread: 5, Steps: budget + 1}
+	if *res.Watchdog != want {
+		t.Fatalf("abort = %+v, want %+v", *res.Watchdog, want)
+	}
+	if res.Blocks != 2 {
+		t.Fatalf("retired blocks = %d, want 2", res.Blocks)
+	}
+
+	resR, imgR := run()
+	if !launchResultsEqual(res, resR) {
+		t.Fatalf("rerun abort diverges:\nfirst %+v (%v)\nrerun %+v (%v)", res, res.Watchdog, resR, resR.Watchdog)
+	}
+	if !bytes.Equal(img, imgR) {
+		t.Fatal("durable images diverge between watchdog-abort reruns")
+	}
+}

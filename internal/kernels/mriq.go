@@ -99,8 +99,8 @@ func (w *mriq) Setup(dev *gpusim.Device) {
 		var qr, qi float32
 		for k := 0; k < w.ksamples; k++ {
 			phase := 2 * float32(math.Pi) * (kxs[k]*vxs[v] + kys[k]*vys[v] + kzs[k]*vzs[v])
-			c := float32(math.Cos(float64(phase)))
-			s := float32(math.Sin(float64(phase)))
+			s64, c64 := math.Sincos(float64(phase))
+			c, s := float32(c64), float32(s64)
 			qr += prs[k]*c - pis[k]*s
 			qi += prs[k]*s + pis[k]*c
 		}
@@ -125,8 +125,8 @@ func (w *mriq) Kernel(lp *core.LP) gpusim.KernelFunc {
 				pr := t.LoadF32(w.phiR, k)
 				pi := t.LoadF32(w.phiI, k)
 				phase := 2 * float32(math.Pi) * (kx*x + ky*y + kz*z)
-				c := float32(math.Cos(float64(phase)))
-				s := float32(math.Sin(float64(phase)))
+				s64, c64 := math.Sincos(float64(phase))
+				c, s := float32(c64), float32(s64)
 				qr += pr*c - pi*s
 				qi += pr*s + pi*c
 				t.Op(20) // dot product, sincos, complex accumulate

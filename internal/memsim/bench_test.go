@@ -78,3 +78,18 @@ func BenchmarkEvictStore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPingPongLoad measures hits that alternate between two lines of
+// different sets, the access shape of a tile loop reading an A and a B
+// element per step.
+func BenchmarkPingPongLoad(b *testing.B) {
+	m := MustNew(DefaultConfig())
+	r := m.Alloc("data", 1<<16)
+	r.StoreU32(AccessData, 0, 1)
+	r.StoreU32(AccessData, 1<<13, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.LoadU32(AccessData, (i&1)<<13)
+	}
+}

@@ -18,11 +18,9 @@ import (
 // order by scanning every line, ignoring the bitmap.
 func bruteDirty(m *Memory) []uint64 {
 	var tags []uint64
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			if l := &m.sets[i].ways[j]; l.valid && l.dirty {
-				tags = append(tags, l.tag)
-			}
+	for i := range m.lines {
+		if l := &m.lines[i]; l.valid && l.dirty {
+			tags = append(tags, l.tag)
 		}
 	}
 	return tags
@@ -31,12 +29,11 @@ func bruteDirty(m *Memory) []uint64 {
 // checkDirtyInvariant reports the first dirty line whose set is not
 // marked, or a DirtyLines count that differs from the brute-force scan.
 func checkDirtyInvariant(m *Memory) error {
-	for i := range m.sets {
-		marked := m.maybeDirty[i/64]&(1<<(i%64)) != 0
-		for j := range m.sets[i].ways {
-			if l := &m.sets[i].ways[j]; l.valid && l.dirty && !marked {
-				return fmt.Errorf("set %d way %d holds dirty line %#x but is not marked", i, j, l.tag)
-			}
+	for i := range m.lines {
+		si := i / m.cfg.Ways
+		marked := m.maybeDirty[si/64]&(1<<(si%64)) != 0
+		if l := &m.lines[i]; l.valid && l.dirty && !marked {
+			return fmt.Errorf("set %d way %d holds dirty line %#x but is not marked", si, i%m.cfg.Ways, l.tag)
 		}
 	}
 	if got, want := m.DirtyLines(), len(bruteDirty(m)); got != want {
@@ -50,7 +47,7 @@ func checkDirtyInvariant(m *Memory) error {
 func refPartialCrash(m *Memory, rng *rand.Rand, p CrashProfile) {
 	var dirty []*line
 	for _, tag := range bruteDirty(m) {
-		dirty = append(dirty, m.lookupLine(m.setIndex(tag), tag))
+		dirty = append(dirty, m.probe(tag))
 	}
 	rng.Shuffle(len(dirty), func(i, j int) { dirty[i], dirty[j] = dirty[j], dirty[i] })
 	for _, l := range dirty {
@@ -198,7 +195,7 @@ func TestDirtyInvariantCatchesUnmarkedSet(t *testing.T) {
 	for m.setIndex(tag) != forged {
 		tag += 64
 	}
-	l := &m.sets[forged].ways[1]
+	l := &m.set(forged)[1]
 	l.tag, l.valid, l.dirty, l.data = tag, true, true, make([]byte, 64)
 	if err := checkDirtyInvariant(m); err == nil {
 		t.Fatal("a dirty line in an unmarked set went undetected")

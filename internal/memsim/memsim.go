@@ -154,17 +154,18 @@ type line struct {
 	data  []byte
 }
 
-type cacheSet struct {
-	ways []line
-}
-
 // Memory is a simulated NVM-backed global memory with a write-back cache.
 type Memory struct {
-	cfg     Config
-	nvm     []byte
-	sets    []cacheSet
-	numSets int
-	lruTick uint64
+	cfg       Config
+	nvm       []byte
+	lines     []line // set si holds lines[si*Ways : (si+1)*Ways]
+	numSets   int
+	lineShift uint // log2(LineSize)
+	lruTick   uint64
+	// mru holds the indices into lines of the two most recently accessed
+	// lines, most recent first. It is only a hint: access re-checks the
+	// line's tag before trusting it (see DESIGN.md §4.2).
+	mru     [2]int32
 	next    uint64 // allocation cursor
 	regions []Region
 	stats   Stats
@@ -198,15 +199,12 @@ func New(cfg Config) (*Memory, error) {
 		return nil, err
 	}
 	m := &Memory{
-		cfg:     cfg,
-		numSets: cfg.CacheBytes / cfg.LineSize / cfg.Ways,
-		next:    uint64(cfg.LineSize), // keep address 0 unused
+		cfg:       cfg,
+		numSets:   cfg.CacheBytes / cfg.LineSize / cfg.Ways,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		next:      uint64(cfg.LineSize), // keep address 0 unused
 	}
-	m.sets = make([]cacheSet, m.numSets)
-	lines := make([]line, m.numSets*cfg.Ways)
-	for i := range m.sets {
-		m.sets[i].ways = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	m.lines = make([]line, m.numSets*cfg.Ways)
 	m.maybeDirty = make([]uint64, (m.numSets+63)/64)
 	if cfg.Fault.Enabled {
 		m.media = newMediaState(cfg.Fault, cfg.LineSize)
@@ -281,40 +279,65 @@ func (m *Memory) regionNameFor(addr uint64) string {
 }
 
 func (m *Memory) setIndex(lineAddr uint64) int {
-	return int((lineAddr / uint64(m.cfg.LineSize)) % uint64(m.numSets))
+	return int((lineAddr >> m.lineShift) % uint64(m.numSets))
 }
 
-// lookupLine returns the cached line for lineAddr in set si, or nil.
-func (m *Memory) lookupLine(si int, lineAddr uint64) *line {
-	set := &m.sets[si]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr {
-			m.lruTick++
-			l.lru = m.lruTick
+// set returns the ways of set si.
+func (m *Memory) set(si int) []line {
+	w := m.cfg.Ways
+	return m.lines[si*w : (si+1)*w : (si+1)*w]
+}
+
+// touch counts a hit on l and makes it its set's most recently used
+// line.
+func (m *Memory) touch(l *line) {
+	m.lruTick++
+	l.lru = m.lruTick
+	m.stats.Hits++
+}
+
+// probe returns the cached line for lineAddr, or nil, without touching
+// LRU state or statistics.
+func (m *Memory) probe(lineAddr uint64) *line {
+	ways := m.set(m.setIndex(lineAddr))
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == lineAddr {
 			return l
 		}
 	}
 	return nil
 }
 
-// fillLine brings lineAddr into set si (evicting LRU if needed) and
-// returns the line plus the access cost.
-func (m *Memory) fillLine(si int, lineAddr uint64) (*line, AccessResult) {
-	var res AccessResult
-	set := &m.sets[si]
-	// Choose invalid way first, else LRU.
-	victim := &set.ways[0]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if !l.valid {
-			victim = l
-			break
-		}
-		if l.lru < victim.lru {
-			victim = l
+// lookupLine returns the index into lines of the cached line for lineAddr
+// in set si, counting the hit, or -1.
+func (m *Memory) lookupLine(si int, lineAddr uint64) int {
+	ways := m.set(si)
+	for i := range ways {
+		if l := &ways[i]; l.valid && l.tag == lineAddr {
+			m.touch(l)
+			return si*len(ways) + i
 		}
 	}
+	return -1
+}
+
+// fillLine brings lineAddr into set si (evicting LRU if needed) and
+// returns the index into lines of the filled line plus the access cost.
+func (m *Memory) fillLine(si int, lineAddr uint64) (int, AccessResult) {
+	var res AccessResult
+	ways := m.set(si)
+	// Choose invalid way first, else LRU.
+	v := 0
+	for i := range ways {
+		if !ways[i].valid {
+			v = i
+			break
+		}
+		if ways[i].lru < ways[v].lru {
+			v = i
+		}
+	}
+	victim := &ways[v]
 	if victim.valid && victim.dirty {
 		m.writeBack(victim)
 		res.LinesWrittenBack++
@@ -331,7 +354,7 @@ func (m *Memory) fillLine(si int, lineAddr uint64) (*line, AccessResult) {
 	victim.dirty = false
 	m.lruTick++
 	victim.lru = m.lruTick
-	return victim, res
+	return si*len(ways) + v, res
 }
 
 func (m *Memory) ensureNVM(lineAddr uint64) {
@@ -379,27 +402,39 @@ func (m *Memory) writeBack(l *line) {
 }
 
 // access performs the cache maneuver for [addr, addr+size) and returns the
-// line holding addr and its set index. size must not cross a line
-// boundary.
-func (m *Memory) access(addr uint64, size int) (*line, int, AccessResult) {
+// line holding addr. size must not cross a line boundary.
+func (m *Memory) access(addr uint64, size int) (*line, AccessResult) {
 	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
 	if (addr+uint64(size)-1)&^uint64(m.cfg.LineSize-1) != lineAddr {
 		panic(fmt.Sprintf("memsim: access at %#x size %d crosses a line boundary", addr, size))
 	}
-	si := m.setIndex(lineAddr)
-	if l := m.lookupLine(si, lineAddr); l != nil {
-		m.stats.Hits++
-		return l, si, AccessResult{Hit: true}
+	// Try the two most recently used lines before the set scan. A valid
+	// line tagged lineAddr is the one the scan would find (a set never
+	// holds a tag twice), so a hint hit does exactly what lookupLine does.
+	if l := &m.lines[m.mru[0]]; l.valid && l.tag == lineAddr {
+		m.touch(l)
+		return l, AccessResult{Hit: true}
 	}
-	m.stats.Misses++
-	l, res := m.fillLine(si, lineAddr)
-	return l, si, res
+	if l := &m.lines[m.mru[1]]; l.valid && l.tag == lineAddr {
+		m.mru[0], m.mru[1] = m.mru[1], m.mru[0]
+		m.touch(l)
+		return l, AccessResult{Hit: true}
+	}
+	si := m.setIndex(lineAddr)
+	res := AccessResult{Hit: true}
+	i := m.lookupLine(si, lineAddr)
+	if i < 0 {
+		m.stats.Misses++
+		i, res = m.fillLine(si, lineAddr)
+	}
+	m.mru[0], m.mru[1] = int32(i), m.mru[0]
+	return &m.lines[i], res
 }
 
 // Load reads size bytes at addr through the cache as a device access.
 func (m *Memory) Load(kind AccessKind, addr uint64, size int) ([]byte, AccessResult) {
 	m.stats.Loads[kind]++
-	l, _, res := m.access(addr, size)
+	l, res := m.access(addr, size)
 	off := addr - l.tag
 	return l.data[off : off+uint64(size)], res
 }
@@ -411,11 +446,12 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 		m.checkFence("device store", addr, len(buf), false)
 	}
 	m.stats.Stores[kind]++
-	l, si, res := m.access(addr, len(buf))
+	l, res := m.access(addr, len(buf))
 	off := addr - l.tag
 	copy(l.data[off:], buf)
 	if !l.dirty {
 		l.dirty = true
+		si := m.setIndex(l.tag)
 		m.maybeDirty[si/64] |= 1 << (si % 64)
 	}
 	return res
@@ -430,10 +466,10 @@ func (m *Memory) Store(kind AccessKind, addr uint64, buf []byte) AccessResult {
 func (m *Memory) eachDirty(fn func(*line)) {
 	for w, word := range m.maybeDirty {
 		for word != 0 {
-			set := &m.sets[w*64+bits.TrailingZeros64(word)]
+			ways := m.set(w*64 + bits.TrailingZeros64(word))
 			word &= word - 1
-			for j := range set.ways {
-				if l := &set.ways[j]; l.valid && l.dirty {
+			for j := range ways {
+				if l := &ways[j]; l.valid && l.dirty {
 					fn(l)
 				}
 			}
@@ -445,11 +481,9 @@ func (m *Memory) eachDirty(fn func(*line)) {
 // lines that were never written back — is discarded. The durable contents
 // afterwards are exactly the NVM image.
 func (m *Memory) Crash() {
-	for i := range m.sets {
-		for j := range m.sets[i].ways {
-			m.sets[i].ways[j].valid = false
-			m.sets[i].ways[j].dirty = false
-		}
+	for i := range m.lines {
+		m.lines[i].valid = false
+		m.lines[i].dirty = false
 	}
 	clear(m.maybeDirty)
 	m.notify(PersistEvent{Kind: EvCrash})
@@ -459,16 +493,12 @@ func (m *Memory) Crash() {
 // and dirty (the clwb/clflushopt primitive Eager Persistency relies on),
 // returning whether a write-back happened. The line stays cached.
 func (m *Memory) FlushAddr(addr uint64) bool {
-	lineAddr := addr &^ uint64(m.cfg.LineSize-1)
-	set := &m.sets[m.setIndex(lineAddr)]
-	for i := range set.ways {
-		l := &set.ways[i]
-		if l.valid && l.tag == lineAddr && l.dirty {
-			m.writeBack(l)
-			return true
-		}
+	l := m.probe(addr &^ uint64(m.cfg.LineSize-1))
+	if l == nil || !l.dirty {
+		return false
 	}
-	return false
+	m.writeBack(l)
+	return true
 }
 
 // FlushAll writes every dirty line back to NVM and leaves the lines clean
@@ -506,17 +536,9 @@ func (m *Memory) PeekCoherent(addr uint64, size int) []byte {
 		if n > size-done {
 			n = size - done
 		}
-		found := false
-		set := &m.sets[m.setIndex(lineAddr)]
-		for i := range set.ways {
-			l := &set.ways[i]
-			if l.valid && l.tag == lineAddr {
-				copy(out[done:done+n], l.data[off:])
-				found = true
-				break
-			}
-		}
-		if !found {
+		if l := m.probe(lineAddr); l != nil {
+			copy(out[done:done+n], l.data[off:])
+		} else {
 			m.ensureNVM(lineAddr)
 			copy(out[done:done+n], m.nvm[a:])
 		}
@@ -582,13 +604,9 @@ func (m *Memory) HostWrite(addr uint64, buf []byte) {
 	first := addr &^ (ls - 1)
 	last := (addr + uint64(len(buf)) - 1) &^ (ls - 1)
 	for la := first; la <= last; la += ls {
-		set := &m.sets[m.setIndex(la)]
-		for i := range set.ways {
-			l := &set.ways[i]
-			if l.valid && l.tag == la {
-				l.valid = false
-				l.dirty = false
-			}
+		if l := m.probe(la); l != nil {
+			l.valid = false
+			l.dirty = false
 		}
 	}
 }
